@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean bench-deterministic bench-check serve-smoke quantize-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
+.PHONY: all build test bench examples clean bench-deterministic bench-check perfbench-selftest serve-smoke quantize-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
 
 # Parallel jobs used for the determinism check's "parallel" leg.
 JOBS ?= 4
@@ -51,6 +51,12 @@ bench-check:
 	dune build bench/main.exe bench/bench_check.exe bin/dco3d.exe
 	DCO3D_ONLY=kernels,route,predict,serve DCO3D_JOBS=$(JOBS) dune exec --no-build bench/main.exe > /dev/null
 	dune exec --no-build bench/bench_check.exe
+
+# End-to-end benchmark self-test (~7 s): seed -> input digest is a
+# function, the held-out seed 9001 draws other inputs, and the metric
+# names perfbench prints match BENCHMARK.json.
+perfbench-selftest:
+	python3 perfbench/run.py --self-test
 
 # End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
 # predict requests (the repeats must hit the result cache), run a tiny

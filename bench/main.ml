@@ -342,26 +342,20 @@ let dco_of name =
       let optimized, rep =
         Dco.optimize ~config ~predictor pin3d.Flow.placement
       in
-      let res = Flow.run_with_placement e.ctx ~name:"DCO-3D (ours)" optimized in
+      let dco = Flow.run_with_placement e.ctx ~name:"DCO-3D (ours)" optimized in
       (* GR-validated acceptance: the flow routes the spread placement
          anyway; if global routing does not confirm the predicted
          congestion gain, continue from the unmodified placement (any
          production flow would gate an optional optimization step the
          same way).  The paper's stronger predictor does not need this
          guard; ours sometimes does — see EXPERIMENTS.md. *)
-      let res =
-        if res.Flow.place_stage.Flow.overflow
-           > pin3d.Flow.place_stage.Flow.overflow
-        then begin
-          Printf.printf
-            "[%s: GR rejected the DCO placement (%d > %d overflow) - keeping              Pin-3D's]
-%!"
-            name res.Flow.place_stage.Flow.overflow
-            pin3d.Flow.place_stage.Flow.overflow;
-          { pin3d with Flow.flow_name = "DCO-3D (ours)" }
-        end
-        else res
-      in
+      let res, accepted = Flow.accept_dco ~pin3d dco in
+      if not accepted then
+        Printf.printf
+          "[%s: GR rejected the DCO placement (%d > %d overflow) - keeping \
+           Pin-3D's]\n%!"
+          name dco.Flow.place_stage.Flow.overflow
+          pin3d.Flow.place_stage.Flow.overflow;
       Hashtbl.replace dco_results name (res, rep);
       (res, rep)
 
@@ -555,6 +549,11 @@ let digest_tensors ts =
     ts;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* A digest string as its character codes, so rows whose result is
+   itself a digest go through [digest_tensors] like the rest. *)
+let digest_floats dg =
+  Array.init (String.length dg) (fun i -> float_of_int (Char.code dg.[i]))
+
 (* Median-of-N timing.  These numbers feed bench_check's par_ms drift
    cap against the committed baseline, and on a loaded CI host the
    best-of-N minimum still jitters enough to trip a 15% cap — the
@@ -669,14 +668,57 @@ let kernels () =
               let nl = Dco3d_corpus.Corpus.generate s in
               let dg = Dco3d_corpus.Corpus.netlist_digest nl in
               T.of_array1
-                (Array.append
-                   (Array.init (String.length dg) (fun i ->
-                        float_of_int (Char.code dg.[i])))
+                (Array.append (digest_floats dg)
                    [|
                      float_of_int (Nl.n_cells nl);
                      float_of_int (Nl.n_nets nl);
                    |]))
             [ "dma"; "ecg-local"; "vga-macro" ] );
+      ( "train_step",
+        "Siamese UNet 32x32 base 8, 4 Adam steps",
+        None,
+        5,
+        fun () ->
+          (* Algorithm 1's inner loop on the batch-native tape: both dies
+             as one [2; 8; 32; 32] graph, forward + backward + Adam.  The
+             digest is the trained-weights fingerprint. *)
+          let net = SiaUNet.create (Rng.create 7) SiaUNet.default_config in
+          let opt = Dco3d_autodiff.Optimizer.adam ~lr:2e-3 (SiaUNet.params net) in
+          let data = Rng.create 8 in
+          let feat () = T.rand_uniform data [| 1; Fm.n_channels; 32; 32 |] in
+          let label () = T.rand_uniform data [| 1; 1; 32; 32 |] in
+          let batches = List.init 4 (fun _ -> (feat (), feat (), label (), label ())) in
+          List.iter
+            (fun (f0, f1, t0, t1) ->
+              let c0, c1 =
+                SiaUNet.forward net (Dco3d_autodiff.Value.const f0)
+                  (Dco3d_autodiff.Value.const f1)
+              in
+              Dco3d_autodiff.Value.backward (Predictor.eq4_loss c0 c1 t0 t1);
+              Dco3d_autodiff.Optimizer.step opt)
+            batches;
+          [ T.of_array1 (digest_floats (SiaUNet.fingerprint net)) ] );
+      ( "dco_iter",
+        Printf.sprintf "%s, 3 Algorithm-2 iterations" e.name,
+        None,
+        3,
+        fun () ->
+          (* Algorithm 2 through a fixed (untrained) predictor; the
+             digest covers every iteration's loss terms. *)
+          let predictor =
+            {
+              Predictor.net = SiaUNet.create (Rng.create 9) SiaUNet.default_config;
+              input_hw = 32;
+              label_scale = 1.0;
+            }
+          in
+          let config = { Dco.default_config with Dco.iterations = 3 } in
+          let _, rep = Dco.optimize ~config ~predictor p in
+          [
+            T.of_array1
+              (digest_floats
+                 (Digest.to_hex (Digest.string (Marshal.to_string rep.Dco.stats []))));
+          ] );
       ( "dataset_build",
         Printf.sprintf "%s, 4 layouts" e.name,
         None,

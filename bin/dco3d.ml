@@ -468,7 +468,8 @@ let optimize_cmd =
     let pin3d = Flow.run_pin3d ctx in
     let config = { Dco.default_config with Dco.iterations; seed } in
     let optimized, report = Dco.optimize ~config ~predictor pin3d.Flow.placement in
-    let dco = Flow.run_with_placement ctx ~name:"DCO-3D" optimized in
+    let routed = Flow.run_with_placement ctx ~name:"DCO-3D" optimized in
+    let dco, accepted = Flow.accept_dco ~pin3d routed in
     Printf.printf "clock period: %.1f ps\n" ctx.Flow.clock_period_ps;
     Format.printf "%a@.%a@." Flow.pp_result pin3d Flow.pp_result dco;
     Printf.printf
@@ -477,9 +478,18 @@ let optimize_cmd =
       report.Dco.predicted_cong_start report.Dco.predicted_cong_end
       report.Dco.cut_start report.Dco.cut_end report.Dco.tier_moves
       report.Dco.mean_displacement;
+    if accepted then
+      Printf.printf "DCO-3D placement accepted (routed overflow %d <= Pin-3D's %d)\n"
+        routed.Flow.place_stage.Flow.overflow pin3d.Flow.place_stage.Flow.overflow
+    else
+      Printf.printf
+        "DCO-3D placement rejected by global routing (overflow %d > Pin-3D's \
+         %d): keeping Pin-3D's\n"
+        routed.Flow.place_stage.Flow.overflow pin3d.Flow.place_stage.Flow.overflow;
     match tcl_out with
     | Some path ->
-        Tcl.write ~only_moved_from:pin3d.Flow.placement optimized path;
+        (* a rejected placement exports nothing: the no-op constraint set *)
+        Tcl.write ~only_moved_from:pin3d.Flow.placement dco.Flow.placement path;
         Printf.printf "wrote spreading constraints to %s\n" path
     | None -> ()
   in

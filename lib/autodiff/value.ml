@@ -10,11 +10,8 @@ type t = {
   backward : (T.t -> T.t option list) option;
 }
 
-let counter = ref 0
-
-let next_id () =
-  incr counter;
-  !counter
+let counter = Atomic.make 0
+let next_id () = Atomic.fetch_and_add counter 1 + 1
 
 let data v = v.data
 let requires_grad v = v.requires_grad
@@ -32,12 +29,24 @@ let param data =
 
 let scalar x = const (T.scalar x)
 
+(* Per domain, so inference on one domain never switches off recording
+   for a graph another domain is building. *)
+let recording = Domain.DLS.new_key (fun () -> true)
+
+let no_grad f =
+  let prev = Domain.DLS.get recording in
+  Domain.DLS.set recording false;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set recording prev) f
+
 let node data parents backward =
-  let requires_grad = List.exists (fun p -> p.requires_grad) parents in
-  if requires_grad then
-    { id = next_id (); data; grad = None; requires_grad; parents;
+  if Domain.DLS.get recording && List.exists (fun p -> p.requires_grad) parents
+  then
+    { id = next_id (); data; grad = None; requires_grad = true; parents;
       backward = Some backward }
   else const data
+
+(* A parent's gradient, computed only if the parent wants one. *)
+let want p f = if p.requires_grad then Some (f ()) else None
 
 let custom ~data ~parents ~backward = node data parents backward
 
@@ -151,70 +160,38 @@ let add_bias_rows x b =
 (* Convolution / pooling                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Rank-3 activations are one sample, rank-4 ones a batch; the kernels
+   split the batch across domains, and the weight and bias gradients sum
+   the per-sample chains in ascending sample order. *)
 let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  let bias_t = Option.map (fun b -> b.data) bias in
-  let y = T.conv2d ~stride ~pad x.data ~weight:weight.data ~bias:bias_t in
-  let parents =
-    match bias with Some b -> [ x; weight; b ] | None -> [ x; weight ]
+  let y =
+    T.conv2d_batch ~stride ~pad x.data ~weight:weight.data
+      ~bias:(Option.map data bias)
   in
-  node y parents (fun g ->
-      let gx =
-        T.conv2d_backward_input ~stride ~pad ~input_shape:(T.shape x.data)
-          ~weight:weight.data g
-      in
-      let gw =
-        T.conv2d_backward_weight ~stride ~pad ~input:x.data
-          ~weight_shape:(T.shape weight.data) g
-      in
-      let gb () =
-        (* bias gradient: sum of g over each output channel *)
-        let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
-        let gb = T.zeros [| co |] in
-        for o = 0 to co - 1 do
-          let acc = ref 0. in
-          for i = 0 to (oh * ow) - 1 do
-            acc := !acc +. T.get_flat g ((o * oh * ow) + i)
-          done;
-          T.set_flat gb o !acc
-        done;
-        gb
-      in
-      match bias with
-      | Some _ -> [ Some gx; Some gw; Some (gb ()) ]
-      | None -> [ Some gx; Some gw ])
+  node y (x :: weight :: Option.to_list bias) (fun g ->
+      want x (fun () ->
+          T.conv2d_backward_input_batch ~stride ~pad
+            ~input_shape:(T.shape x.data) ~weight:weight.data g)
+      :: want weight (fun () ->
+             T.conv2d_backward_weight_batch ~stride ~pad ~input:x.data
+               ~weight_shape:(T.shape weight.data) g)
+      :: List.map (fun b -> want b (fun () -> T.channel_sums g)) (Option.to_list bias))
 
 let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
-  let bias_t = Option.map (fun b -> b.data) bias in
-  let y = T.conv2d_transpose ~stride ~pad x.data ~weight:weight.data ~bias:bias_t in
-  let parents =
-    match bias with Some b -> [ x; weight; b ] | None -> [ x; weight ]
+  let y =
+    T.conv2d_transpose_batch ~stride ~pad x.data ~weight:weight.data
+      ~bias:(Option.map data bias)
   in
-  node y parents (fun g ->
+  node y (x :: weight :: Option.to_list bias) (fun g ->
       (* Transposed conv forward == conv backward-input, so its input
          gradient is a plain convolution of g with the same kernel
          (viewed as [ci <- co]), and the weight gradient mirrors
          conv2d_backward_weight with the roles of x and g exchanged. *)
-      let gx = T.conv2d ~stride ~pad g ~weight:weight.data ~bias:None in
-      let gw =
-        T.conv2d_backward_weight ~stride ~pad ~input:g
-          ~weight_shape:(T.shape weight.data)
-          x.data
-      in
-      let gb () =
-        let co = T.dim g 0 and oh = T.dim g 1 and ow = T.dim g 2 in
-        let gb = T.zeros [| co |] in
-        for o = 0 to co - 1 do
-          let acc = ref 0. in
-          for i = 0 to (oh * ow) - 1 do
-            acc := !acc +. T.get_flat g ((o * oh * ow) + i)
-          done;
-          T.set_flat gb o !acc
-        done;
-        gb
-      in
-      match bias with
-      | Some _ -> [ Some gx; Some gw; Some (gb ()) ]
-      | None -> [ Some gx; Some gw ])
+      want x (fun () -> T.conv2d_batch ~stride ~pad g ~weight:weight.data ~bias:None)
+      :: want weight (fun () ->
+             T.conv2d_backward_weight_batch ~stride ~pad ~input:g
+               ~weight_shape:(T.shape weight.data) x.data)
+      :: List.map (fun b -> want b (fun () -> T.channel_sums g)) (Option.to_list bias))
 
 let maxpool2 x =
   let y, arg = T.maxpool2 x.data in
@@ -243,7 +220,7 @@ let concat_channels xs =
   | _ ->
       let y = T.concat_channels (List.map (fun x -> x.data) xs) in
       let channel_count t =
-        match T.rank t with 3 -> T.dim t 0 | 2 -> 1 | _ -> assert false
+        match T.rank t with 4 -> T.dim t 1 | 3 -> T.dim t 0 | _ -> 1
       in
       node y xs (fun g ->
           let pos = ref 0 in
@@ -270,6 +247,28 @@ let slice_channels x lo n =
         T.set_flat gx ((lo * hw) + i) (T.get_flat g i)
       done;
       [ Some gx ])
+
+(* Batch axis.  The Siamese UNet stacks both dies on it and lets the
+   communication layer swap the halves. *)
+let stack xs =
+  node (T.cat_batch (List.map data xs)) xs (fun g ->
+      let pos = ref 0 in
+      List.map
+        (fun x ->
+          let n = if T.rank x.data = 3 then 1 else T.dim x.data 0 in
+          let gx = T.slice_batch g !pos n in
+          pos := !pos + n;
+          Some (T.reshape gx (T.shape x.data)))
+        xs)
+
+let batch_slice x lo n =
+  let rest = Array.sub (T.shape x.data) 1 3 in
+  let zeros k = T.zeros (Array.append [| k |] rest) in
+  node (T.slice_batch x.data lo n) [ x ] (fun g ->
+      [ Some (T.cat_batch [ zeros lo; g; zeros (T.dim x.data 0 - lo - n) ]) ])
+
+let swap_halves x =
+  node (T.swap_halves x.data) [ x ] (fun g -> [ Some (T.swap_halves g) ])
 
 let reshape x sh =
   let y = T.reshape (T.copy x.data) sh in

@@ -72,12 +72,28 @@ val add_bias_rows : t -> t -> t
 (** [add_bias_rows x b] adds a rank-1 bias [b] (length [f]) to every row
     of a rank-2 tensor [x : [n; f]] — the GNN layer bias. *)
 
+(** The image ops take one sample [[c; h; w]] or a batch [[n; c; h; w]]
+    and keep the input's rank.  A batched conv splits its samples
+    across domains (see {!Dco3d_tensor.Tensor.conv2d_batch}); its
+    weight and bias gradients sum the per-sample gradients in
+    ascending sample order, so a batch of [n] gives the same bits as
+    [n] single-sample nodes sharing the weight. *)
+
 val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 val conv2d_transpose : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 val maxpool2 : t -> t
 val upsample_nearest2 : t -> t
 val concat_channels : t list -> t
 val slice_channels : t -> int -> int -> t
+
+val stack : t list -> t
+(** Concatenate along the batch axis (a rank-3 part is one sample). *)
+
+val batch_slice : t -> int -> int -> t
+(** [batch_slice x lo n] is samples [lo..lo+n-1] of a batch. *)
+
+val swap_halves : t -> t
+(** Exchange the two halves of the batch axis. *)
 
 val reshape : t -> int array -> t
 
@@ -105,6 +121,12 @@ val custom :
     gradient (or [None]) per parent, in order — the OCaml analogue of a
     custom PyTorch [Function], used for the sub-gradient RUDY backward
     of Eq. 6. *)
+
+val no_grad : (unit -> 'a) -> 'a
+(** [no_grad f] runs [f] with recording switched off on the calling
+    domain: every op returns a constant, so inference builds no graph
+    and keeps no backward closures.  Other domains keep recording; the
+    previous mode is restored when [f] returns or raises. *)
 
 (** {1 Backward pass} *)
 

@@ -26,7 +26,7 @@ let prep ~input_hw ~label_scale (s : Dataset.sample) =
   let lmap m =
     T.reshape
       (T.scale (1. /. label_scale) (T.resize_nearest m input_hw input_hw))
-      [| 1; input_hw; input_hw |]
+      [| 1; 1; input_hw; input_hw |]
   in
   (fmap s.Dataset.f_bottom, fmap s.Dataset.f_top,
    lmap s.Dataset.c_bottom, lmap s.Dataset.c_top)
@@ -35,12 +35,13 @@ let dataset_loss net ~input_hw ~label_scale (d : Dataset.t) =
   if Array.length d.Dataset.samples = 0 then 0.
   else begin
     let acc = ref 0. in
-    Array.iter
-      (fun s ->
-        let f0, f1, t0, t1 = prep ~input_hw ~label_scale s in
-        let c0, c1 = SiaUNet.forward net (V.const f0) (V.const f1) in
-        acc := !acc +. T.get_flat (V.data (eq4_loss c0 c1 t0 t1)) 0)
-      d.Dataset.samples;
+    V.no_grad (fun () ->
+        Array.iter
+          (fun s ->
+            let f0, f1, t0, t1 = prep ~input_hw ~label_scale s in
+            let c0, c1 = SiaUNet.forward net (V.const f0) (V.const f1) in
+            acc := !acc +. T.get_flat (V.data (eq4_loss c0 c1 t0 t1)) 0)
+          d.Dataset.samples);
     !acc /. float_of_int (Array.length d.Dataset.samples)
   end
 
@@ -102,26 +103,15 @@ let predict_batch ?(numeric = `F32) t pairs =
     Array.map2
       (fun (f_bottom, _) (c0, c1) ->
         let nx = T.dim f_bottom 2 and ny = T.dim f_bottom 1 in
+        (* back to GCell resolution and ground-truth units; overflow maps
+           are non-negative by definition *)
         let post m = T.relu (T.scale t.label_scale (T.resize_nearest m ny nx)) in
         (post c0, post c1))
       pairs outs
   end
 
-let predict ?(numeric = `F32) t f_bottom f_top =
-  match numeric with
-  | `I8 -> (predict_batch ~numeric t [| (f_bottom, f_top) |]).(0)
-  | `F32 ->
-      let nx = T.dim f_bottom 2 and ny = T.dim f_bottom 1 in
-      let fmap stack =
-        Fm.resize_stack (Fm.normalize stack) t.input_hw t.input_hw
-      in
-      let c0, c1 = SiaUNet.predict t.net (fmap f_bottom) (fmap f_top) in
-      let post m =
-        (* back to GCell resolution and ground-truth units; overflow maps
-           are non-negative by definition *)
-        T.relu (T.scale t.label_scale (T.resize_nearest m ny nx))
-      in
-      (post c0, post c1)
+let predict ?numeric t f_bottom f_top =
+  (predict_batch ?numeric t [| (f_bottom, f_top) |]).(0)
 
 let fingerprint ?(numeric = `F32) t =
   (* the numeric path is part of the model identity: an int8 and a

@@ -50,8 +50,9 @@ val predict_batch :
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
 (** [predict_batch t pairs] runs {!predict} for a whole batch of
-    [(f_bottom, f_top)] stacks in one batched forward pass (one
-    im2col/GEMM call per conv layer for the entire batch).  Element [i]
+    [(f_bottom, f_top)] stacks in one batched forward pass (one node
+    per conv layer for the entire batch, its samples split across
+    domains).  Element [i]
     is bit-identical to [predict t (fst pairs.(i)) (snd pairs.(i))] at
     every [DCO3D_JOBS] value — the serve micro-batcher coalesces
     requests on the strength of this guarantee.  Both guarantees hold

@@ -265,6 +265,11 @@ let run_pin3d_bo ?(iterations = 12) ?(bo_seed = 7) ctx =
   Log.debug (fun m -> m "BO best probe overflow: %.0f" best_y);
   run_with_params ctx ~name:"Pin3D + BO" (Params.of_vector best_v)
 
+let accept_dco ~pin3d dco =
+  if dco.place_stage.overflow > pin3d.place_stage.overflow then
+    ({ pin3d with flow_name = dco.flow_name }, false)
+  else (dco, true)
+
 let pp_result ppf r =
   Format.fprintf ppf
     "%-14s | ovf %6d (%5.2f%% gcells, H %6d, V %6d) | wns %8.2f ps | tns %10.1f ps | %7.2f mW | WL %10.1f um | T %5.1f/%5.1f C"

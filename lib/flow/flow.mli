@@ -106,6 +106,13 @@ val run_pin3d_bo :
     overflow (default 12 evaluations), then the full flow on the best
     knobs found. *)
 
+val accept_dco : pin3d:result -> result -> result * bool
+(** The global-routing acceptance guard on DCO-3D.  [accept_dco ~pin3d
+    dco] is [(dco, true)] when DCO-3D's routed overflow is no higher
+    than Pin-3D's; otherwise it keeps Pin-3D's result (renamed to
+    [dco]'s flow name) and returns [false].  The returned overflow is
+    never above Pin-3D's. *)
+
 val signoff_optimize :
   context ->
   Dco3d_netlist.Netlist.t ->

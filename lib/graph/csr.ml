@@ -114,17 +114,24 @@ let spmm m x =
   if T.rank x <> 2 || T.dim x 0 <> m.n_cols then
     invalid_arg "Csr.spmm: shape mismatch";
   let f = T.dim x 1 in
-  let y = T.zeros [| m.n_rows; f |] in
+  let xd = x.T.data in
+  let y = Array.make (m.n_rows * f) 0. in
+  (* each output element is one chain over the row's k ascending *)
   for i = 0 to m.n_rows - 1 do
+    let yrow = i * f in
     for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      let j = m.col_idx.(k) and v = m.values.(k) in
-      if v <> 0. then
+      let v = Array.unsafe_get m.values k in
+      if v <> 0. then begin
+        let xrow = Array.unsafe_get m.col_idx k * f in
         for c = 0 to f - 1 do
-          T.set2 y i c (T.get2 y i c +. (v *. T.get2 x j c))
+          Array.unsafe_set y (yrow + c)
+            (Array.unsafe_get y (yrow + c)
+            +. (v *. Array.unsafe_get xd (xrow + c)))
         done
+      end
     done
   done;
-  y
+  T.make [| m.n_rows; f |] y
 
 let row_sums m =
   let s = Array.make m.n_rows 0. in

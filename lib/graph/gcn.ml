@@ -1,20 +1,24 @@
 module V = Dco3d_autodiff.Value
 
-let spmm adj x =
-  let y = Csr.spmm adj (V.data x) in
-  V.custom ~data:y ~parents:[ x ]
-    ~backward:(fun g -> [ Some (Csr.spmm (Csr.transpose adj) g) ])
+(* [spmm adj] computes the transpose at most once, on the first
+   backward through it, however often the partial application runs. *)
+let spmm adj =
+  let adj_t = lazy (Csr.transpose adj) in
+  fun x ->
+    let y = Csr.spmm adj (V.data x) in
+    V.custom ~data:y ~parents:[ x ]
+      ~backward:(fun g -> [ Some (Csr.spmm (Lazy.force adj_t) g) ])
 
 type t = {
-  adj : Csr.t;
+  prop : V.t -> V.t;  (** [spmm adj], transpose shared across calls *)
   lin : Dco3d_nn.Layer.t;
   act : V.t -> V.t;
 }
 
 let layer rng ~adj ~in_dim ~out_dim ?(act = Fun.id) () =
-  { adj; lin = Dco3d_nn.Layer.linear rng ~in_dim ~out_dim (); act }
+  { prop = spmm adj; lin = Dco3d_nn.Layer.linear rng ~in_dim ~out_dim (); act }
 
-let forward l x = l.act (l.lin.Dco3d_nn.Layer.forward (spmm l.adj x))
+let forward l x = l.act (l.lin.Dco3d_nn.Layer.forward (l.prop x))
 let params l = l.lin.Dco3d_nn.Layer.params
 
 let stack rng ~adj ~dims ?(hidden_act = V.relu) () =

@@ -10,8 +10,9 @@
 
 val spmm : Csr.t -> Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t
 (** Differentiable sparse-dense product with a constant sparse matrix:
-    the backward pass multiplies by the transpose (computed once per
-    call). *)
+    the backward pass multiplies by the transpose.  The transpose is
+    computed once per partial application [spmm adj], on its first
+    backward — a {!layer} builds it once for all its forwards. *)
 
 type t
 

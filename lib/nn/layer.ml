@@ -15,15 +15,7 @@ type spec =
   | Act of act_kind
   | Seq of spec list
 
-type t = {
-  params : V.t list;
-  forward : V.t -> V.t;
-  forward_batch : T.t -> T.t;
-  spec : spec;
-}
-
-let no_batch name _ =
-  invalid_arg (Printf.sprintf "Layer.forward_batch: %s has no batched path" name)
+type t = { params : V.t list; forward : V.t -> V.t; spec : spec }
 
 let conv2d rng ?(stride = 1) ?(pad = 0) ?(bias = true) ~in_channels
     ~out_channels ~ksize () =
@@ -34,10 +26,6 @@ let conv2d rng ?(stride = 1) ?(pad = 0) ?(bias = true) ~in_channels
   {
     params;
     forward = (fun x -> V.conv2d ~stride ~pad x ~weight:w ~bias:b);
-    forward_batch =
-      (fun x ->
-        T.conv2d_batch ~stride ~pad x ~weight:(V.data w)
-          ~bias:(Option.map V.data b));
     spec = Conv { stride; pad; weight = w; bias = b };
   }
 
@@ -50,26 +38,11 @@ let conv2d_transpose rng ?(stride = 1) ?(pad = 0) ?(bias = true) ~in_channels
   {
     params;
     forward = (fun x -> V.conv2d_transpose ~stride ~pad x ~weight:w ~bias:b);
-    forward_batch =
-      (fun x ->
-        T.conv2d_transpose_batch ~stride ~pad x ~weight:(V.data w)
-          ~bias:(Option.map V.data b));
     spec = Conv_transpose { stride; pad; weight = w; bias = b };
   }
 
 let pointwise rng ~in_channels ~out_channels () =
   conv2d rng ~in_channels ~out_channels ~ksize:1 ()
-
-(* Same per-row bias addition as [V.add_bias_rows], on plain tensors. *)
-let add_bias_rows_t x b =
-  let n = T.dim x 0 and f = T.dim x 1 in
-  let y = T.copy x in
-  for i = 0 to n - 1 do
-    for j = 0 to f - 1 do
-      T.set2 y i j (T.get2 y i j +. T.get_flat b j)
-    done
-  done;
-  y
 
 let linear rng ?(bias = true) ~in_dim ~out_dim () =
   let w = V.param (T.kaiming rng ~fan_in:in_dim [| in_dim; out_dim |]) in
@@ -81,39 +54,20 @@ let linear rng ?(bias = true) ~in_dim ~out_dim () =
       (fun x ->
         let y = V.matmul x w in
         match b with Some b -> V.add_bias_rows y b | None -> y);
-    forward_batch =
-      (fun x ->
-        let y = T.matmul x (V.data w) in
-        match b with Some b -> add_bias_rows_t y (V.data b) | None -> y);
     spec = Linear { weight = w; bias = b };
   }
 
-let activation ?batch ?(kind = Opaque) f =
-  {
-    params = [];
-    forward = f;
-    forward_batch =
-      (match batch with Some fb -> fb | None -> no_batch "activation");
-    spec = Act kind;
-  }
-
-let relu = activation ~batch:T.relu ~kind:Relu V.relu
-
-let leaky_relu slope =
-  activation
-    ~batch:(T.map (fun x -> if x > 0. then x else slope *. x))
-    ~kind:(Leaky slope) (V.leaky_relu slope)
-
-let sigmoid = activation ~batch:T.sigmoid ~kind:Sigmoid V.sigmoid
-let tanh_ = activation ~batch:T.tanh_ ~kind:Tanh V.tanh_
-let maxpool2 = activation ~batch:T.maxpool2_batch ~kind:Maxpool2 V.maxpool2
+let activation ?(kind = Opaque) f = { params = []; forward = f; spec = Act kind }
+let relu = activation ~kind:Relu V.relu
+let leaky_relu slope = activation ~kind:(Leaky slope) (V.leaky_relu slope)
+let sigmoid = activation ~kind:Sigmoid V.sigmoid
+let tanh_ = activation ~kind:Tanh V.tanh_
+let maxpool2 = activation ~kind:Maxpool2 V.maxpool2
 
 let seq layers =
   {
     params = List.concat_map (fun l -> l.params) layers;
     forward = (fun x -> List.fold_left (fun acc l -> l.forward acc) x layers);
-    forward_batch =
-      (fun x -> List.fold_left (fun acc l -> l.forward_batch acc) x layers);
     spec = Seq (List.map (fun l -> l.spec) layers);
   }
 

@@ -41,12 +41,9 @@ type spec =
 type t = {
   params : Dco3d_autodiff.Value.t list;  (** trainable leaves *)
   forward : Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t;
-  forward_batch : Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t;
-      (** Inference-only batched forward over rank-4 [[n; c; h; w]]
-          tensors (rank-2 [[n; f]] for {!linear}).  Bit-identical to
-          applying {!forward} to each sample separately — the contract
-          the serve micro-batcher relies on.  Layers built with a bare
-          {!activation} (no [?batch]) raise [Invalid_argument]. *)
+      (** one sample [[c; h; w]] or a batch [[n; c; h; w]] ([[n; f]]
+          rows for {!linear}); inference runs it under
+          {!Dco3d_autodiff.Value.no_grad} *)
   spec : spec;  (** structure, for introspection *)
 }
 
@@ -83,14 +80,9 @@ val linear :
 (** Dense layer on rank-2 inputs [[n; in_dim]] (row-wise). *)
 
 val activation :
-  ?batch:(Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t) ->
-  ?kind:act_kind ->
-  (Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t) ->
-  t
-(** Parameter-free layer from any differentiable function.  [?batch]
-    supplies the batched inference path; omitted, [forward_batch]
-    raises.  [?kind] (default {!Opaque}) labels the spec for
-    introspection. *)
+  ?kind:act_kind -> (Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t) -> t
+(** Parameter-free layer from any differentiable function.  [?kind]
+    (default {!Opaque}) labels the spec for introspection. *)
 
 val relu : t
 val leaky_relu : float -> t

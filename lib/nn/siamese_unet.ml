@@ -73,8 +73,8 @@ let create rng cfg =
   let head = Layer.pointwise rng ~in_channels:base ~out_channels:1 () in
   { cfg; levels; bottleneck; comm_self; comm_cross; head; qcache = None }
 
-(* Encoder for one die: returns skip activations (one per level) and the
-   bottleneck activation. *)
+(* Encoder over a batch: returns skip activations (one per level) and
+   the bottleneck activation. *)
 let encode net x =
   let skips = Array.make (Array.length net.levels) x in
   let cur = ref x in
@@ -86,7 +86,7 @@ let encode net x =
     net.levels;
   (skips, net.bottleneck.Layer.forward !cur)
 
-(* Decoder for one die given its (possibly communicated) bottleneck. *)
+(* Decoder given the (communicated) bottleneck. *)
 let decode net skips bottom =
   let cur = ref bottom in
   for l = Array.length net.levels - 1 downto 0 do
@@ -97,81 +97,27 @@ let decode net skips bottom =
   done;
   net.head.Layer.forward !cur
 
+(* Both dies run as one graph: die 0's samples then die 1's on the batch
+   axis, so every conv sees the whole batch once.  The communication
+   layer (Fig. 3b) is [self b + cross (swap_halves b)]: each die's
+   decoder gets its own bottleneck through the shared self conv and the
+   other die's through the shared cross conv. *)
 let forward net f0 f1 =
-  let skips0, b0 = encode net f0 in
-  let skips1, b1 = encode net f1 in
-  (* Communication layer (Fig. 3b): mix the two bottlenecks through
-     shared pointwise convolutions and hand each decoder a view of both
-     dies. *)
-  let communicate own other =
+  let n = match V.shape f0 with [| _; _; _ |] -> 1 | sh -> sh.(0) in
+  let skips, b = encode net (V.stack [ f0; f1 ]) in
+  let b' =
     V.leaky_relu 0.1
       (V.add
-         (net.comm_self.Layer.forward own)
-         (net.comm_cross.Layer.forward other))
+         (net.comm_self.Layer.forward b)
+         (net.comm_cross.Layer.forward (V.swap_halves b)))
   in
-  let b0' = communicate b0 b1 in
-  let b1' = communicate b1 b0 in
-  (decode net skips0 b0', decode net skips1 b1')
-
-let predict net f0 f1 =
-  let c0, c1 = forward net (V.const f0) (V.const f1) in
-  let to_map v =
-    let d = V.data v in
-    T.reshape (T.copy d) [| T.dim d 1; T.dim d 2 |]
-  in
-  (to_map c0, to_map c1)
-
-(* ------------------------------------------------------------------ *)
-(* Batched inference.                                                  *)
-(*                                                                     *)
-(* The same network applied to a rank-4 [n; c; h; w] batch through the *)
-(* Layer.forward_batch path: one im2col/GEMM per conv layer for the    *)
-(* whole batch.  Every step is bit-identical to the per-sample         *)
-(* forward (the batched kernels only add GEMM columns, the elementwise *)
-(* steps use the same scalar formulas), which is what lets the serve   *)
-(* micro-batcher coalesce requests without changing any reply bit.     *)
-(* ------------------------------------------------------------------ *)
-
-let leaky_batch slope = T.map (fun v -> if v > 0. then v else slope *. v)
-
-let encode_batch net x =
-  let skips = Array.make (Array.length net.levels) x in
-  let cur = ref x in
-  Array.iteri
-    (fun l level ->
-      let a = level.enc.Layer.forward_batch !cur in
-      skips.(l) <- a;
-      cur := T.maxpool2_batch a)
-    net.levels;
-  (skips, net.bottleneck.Layer.forward_batch !cur)
-
-let decode_batch net skips bottom =
-  let cur = ref bottom in
-  for l = Array.length net.levels - 1 downto 0 do
-    let level = net.levels.(l) in
-    let up = level.up.Layer.forward_batch !cur in
-    let cat = T.concat_channels_batch [ up; skips.(l) ] in
-    cur := level.dec.Layer.forward_batch cat
-  done;
-  net.head.Layer.forward_batch !cur
-
-let forward_batch net x0 x1 =
-  let skips0, b0 = encode_batch net x0 in
-  let skips1, b1 = encode_batch net x1 in
-  let communicate own other =
-    leaky_batch 0.1
-      (T.add
-         (net.comm_self.Layer.forward_batch own)
-         (net.comm_cross.Layer.forward_batch other))
-  in
-  let b0' = communicate b0 b1 in
-  let b1' = communicate b1 b0 in
-  (decode_batch net skips0 b0', decode_batch net skips1 b1')
+  let c = decode net skips b' in
+  (V.batch_slice c 0 n, V.batch_slice c n n)
 
 (* ------------------------------------------------------------------ *)
 (* Quantized int8 inference.                                           *)
 (*                                                                     *)
-(* The same data flow as forward_batch with each layer replaced by its *)
+(* The same data flow as forward with each layer replaced by its      *)
 (* Quant compilation: spatial convs run on the int8 engine with fused  *)
 (* requantize/bias/activation, the pointwise communication and head    *)
 (* layers stay float32.  Per-sample activation quantization keeps the  *)
@@ -257,7 +203,7 @@ let forward_batch_q q x0 x1 =
   let skips0, b0 = encode_batch_q q x0 in
   let skips1, b1 = encode_batch_q q x1 in
   let communicate own other =
-    leaky_batch 0.1
+    T.map (fun v -> if v > 0. then v else 0.1 *. v)
       (T.add
          (Quant.forward_batch q.q_comm_self own)
          (Quant.forward_batch q.q_comm_cross other))
@@ -273,7 +219,9 @@ let predict_batch ?(numeric = `F32) net pairs =
     let x1 = T.stack (Array.map snd pairs) in
     let c0, c1 =
       match numeric with
-      | `F32 -> forward_batch net x0 x1
+      | `F32 ->
+          let c0, c1 = V.no_grad (fun () -> forward net (V.const x0) (V.const x1)) in
+          (V.data c0, V.data c1)
       | `I8 -> forward_batch_q (quantized net) x0 x1
     in
     (* each sample comes back as [1; h; w]; flatten to the rank-2 map
@@ -285,6 +233,8 @@ let predict_batch ?(numeric = `F32) net pairs =
     in
     Array.map2 (fun a b -> (a, b)) (split c0) (split c1)
   end
+
+let predict net f0 f1 = (predict_batch net [| (f0, f1) |]).(0)
 
 let all_layers net =
   List.concat

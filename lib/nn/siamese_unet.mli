@@ -35,16 +35,23 @@ val forward :
   Dco3d_autodiff.Value.t ->
   Dco3d_autodiff.Value.t ->
   Dco3d_autodiff.Value.t * Dco3d_autodiff.Value.t
-(** [forward net f0 f1] predicts the two congestion maps.  Spatial
+(** [forward net f0 f1] predicts the two congestion maps of a batch:
+    [f0], [f1 : [n; c_in; h; w]] (a rank-3 stack is a batch of one)
+    give [c0], [c1 : [n; 1; h; w]].  Both dies run as one graph over
+    the [2n] samples stacked on the batch axis, so every conv is one
+    batched node whose samples run on separate domains.  Spatial
     dimensions must be divisible by [2^depth].  Differentiable in both
     the network parameters and the inputs (the latter is what Algorithm
     2 exploits: gradients flow from the congestion loss through the
-    frozen network back into the feature maps). *)
+    frozen network back into the feature maps).  Trained weights and
+    input gradients are bit-identical to running each die and each
+    sample on its own. *)
 
 val predict :
   t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t ->
   Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t
-(** Inference on plain tensors; returns rank-2 [[h; w]] maps. *)
+(** Inference on plain tensors ({!predict_batch} of one pair); returns
+    rank-2 [[h; w]] maps. *)
 
 val predict_batch :
   ?numeric:[ `F32 | `I8 ] ->
@@ -52,12 +59,11 @@ val predict_batch :
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
 (** [predict_batch net pairs] is {!predict} over a whole batch in one
-    network pass: the [(f0, f1)] stacks are packed into rank-4
-    [[n; c; h; w]] tensors and every conv layer runs as a single
-    batched im2col/GEMM call.  Element [i] of the result is
-    bit-identical to [predict net (fst pairs.(i)) (snd pairs.(i))] at
-    every [DCO3D_JOBS] value — the contract the serve micro-batcher
-    and its result cache depend on.
+    network pass: {!forward} on the packed [[n; c; h; w]] stacks under
+    {!Dco3d_autodiff.Value.no_grad} — the training graph with recording
+    off.  Element [i] of the result is bit-identical to [predict net
+    (fst pairs.(i)) (snd pairs.(i))] at every [DCO3D_JOBS] value — the
+    contract the serve micro-batcher and its result cache depend on.
 
     [~numeric:`I8] (default [`F32]) runs the int8 compilation of the
     network (see {!quantized}) instead: spatial convs execute on the

@@ -212,9 +212,11 @@ let publish pool r =
     Mutex.unlock pool.mutex
   end
 
-(* Obs probes.  [pool/chunks] counts chunks at region entry, so its
-   total depends only on the work submitted (the decomposition is a
-   function of the range alone) — it is invariant under DCO3D_JOBS.
+(* Obs probes.  [pool/chunks] counts chunks at region entry, so for a
+   region whose decomposition is a function of the range alone it
+   depends only on the work submitted — invariant under DCO3D_JOBS.
+   (Tensor's batch-axis ops cut one chunk per domain, so theirs is not;
+   their results are, since a sample's bits never depend on its chunk.)
    The region counters record how regions were actually executed and
    *do* depend on the job count; they are diagnostics, not invariants. *)
 let c_chunks = Obs.counter "pool/chunks"

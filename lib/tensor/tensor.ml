@@ -260,7 +260,7 @@ let pack_row ~k ~n pb p src src_off =
 (* still sums its p-terms in ascending order starting from C's current  *)
 (* value, preserving the reference bit pattern.  The 4k-float quad      *)
 (* block stays L1-resident across the band's rows. *)
-let gemm_band ~k ~n ad pb out i0 i1 =
+let gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1 =
   let nq = n lsr 2 in
   let r = n - (nq lsl 2) in
   let k4 = k lsl 2 in
@@ -268,8 +268,8 @@ let gemm_band ~k ~n ad pb out i0 i1 =
     let base = q * k4 in
     let jcol = q lsl 2 in
     for i = i0 to i1 - 1 do
-      let arow = i * k in
-      let orow = (i * n) + jcol in
+      let arow = aoff + (i * k) in
+      let orow = coff + (i * n) + jcol in
       let acc0 = ref (Array.unsafe_get out orow) in
       let acc1 = ref (Array.unsafe_get out (orow + 1)) in
       let acc2 = ref (Array.unsafe_get out (orow + 2)) in
@@ -292,8 +292,8 @@ let gemm_band ~k ~n ad pb out i0 i1 =
     let base = nq * k4 in
     let jcol = nq lsl 2 in
     for i = i0 to i1 - 1 do
-      let arow = i * k in
-      let orow = (i * n) + jcol in
+      let arow = aoff + (i * k) in
+      let orow = coff + (i * n) + jcol in
       for t = 0 to r - 1 do
         let acc = ref (Array.unsafe_get out (orow + t)) in
         for p = 0 to k - 1 do
@@ -307,17 +307,18 @@ let gemm_band ~k ~n ad pb out i0 i1 =
     done
   end
 
-(* [out] must hold the addend (usually zeros).  Row banding never       *)
-(* changes result bits, so the parallel split is free to follow the     *)
-(* machine. *)
-let gemm ?(par_macs = matmul_par_macs) ~m ~k ~n ad pb out =
+(* [out] must hold the addend (usually zeros).  A starts at [aoff] in   *)
+(* [ad] and C at [coff] in [out], so a kernel can read one sample of a  *)
+(* batch and write another in place.  Row banding never changes result  *)
+(* bits, so the parallel split is free to follow the machine. *)
+let gemm ?(par_macs = matmul_par_macs) ?(aoff = 0) ?(coff = 0) ~m ~k ~n ad pb out =
   if m > 0 && n > 0 && k > 0 then
-    if m * n * k < par_macs then gemm_band ~k ~n ad pb out 0 m
+    if m * n * k < par_macs then gemm_band ~k ~n ~aoff ~coff ad pb out 0 m
     else
       Pool.for_chunks
         ~chunk:(max 1 ((m + 63) / 64))
         0 m
-        (fun i0 i1 -> gemm_band ~k ~n ad pb out i0 i1)
+        (fun i0 i1 -> gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1)
 
 let matmul a b =
   if rank a <> 2 || rank b <> 2 then invalid_arg "Tensor.matmul: rank-2 only";
@@ -404,13 +405,13 @@ let gemm_selected_dilated (engine : conv_engine) ~stride macs =
 
 (* Bias goes in after the full contraction, matching the direct paths
    (which also add it last, once per output channel). *)
-let add_channel_bias out ~n bias =
+let add_channel_bias ?(off = 0) out ~n bias =
   match bias with
   | None -> ()
   | Some b ->
       for o = 0 to Array.length b.data - 1 do
         let bv = Array.unsafe_get b.data o in
-        let base = o * n in
+        let base = off + (o * n) in
         for i = 0 to n - 1 do
           Array.unsafe_set out (base + i)
             (Array.unsafe_get out (base + i) +. bv)
@@ -430,21 +431,26 @@ let fill_line_s1 row pos src srow ~shift ~len_src ~len_dst =
   end
   else Array.fill row pos len_dst 0.
 
+(* Every kernel below reads its sample at an offset into a source array
+   ([xoff], [goff]) and writes its result at an offset into a
+   zero-initialized destination ([ooff], [ioff]), so the batched kernels
+   run one sample of a batch in place, without copying it out. *)
+
 (* Forward lowering: A = weight as (co x ci*kh*kw) — its natural
    layout — and B(p, (oy,ox)) = x[c, oy*s + ky - pad, ox*s + kx - pad]
    (or 0. outside the input) for p = (c, ky, kx).  The inner index p
    ascends exactly like the direct loop's (c, ky, kx) nest. *)
-let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
+let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd bias out
+    ooff =
   let kdim = ci * kh * kw in
   let ncol = oh * ow in
-  let out = Array.make (co * ncol) 0. in
   Workspace.with_floats (kdim * ncol) (fun pb ->
       Workspace.with_floats ncol (fun row ->
           for p = 0 to kdim - 1 do
             let c = p / (kh * kw) in
             let rem = p mod (kh * kw) in
             let ky = rem / kw and kx = rem mod kw in
-            let xbase = c * h * w in
+            let xbase = xoff + (c * h * w) in
             let pos = ref 0 in
             for oy = 0 to oh - 1 do
               let iy = (oy * stride) + ky - pad in
@@ -471,9 +477,8 @@ let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
             done;
             pack_row ~k:kdim ~n:ncol pb p row 0
           done);
-      gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol wd pb out);
-  add_channel_bias out ~n:ncol bias;
-  out
+      gemm ~par_macs:conv_par_macs ~coff:ooff ~m:co ~k:kdim ~n:ncol wd pb out);
+  add_channel_bias ~off:ooff out ~n:ncol bias
 
 (* Input-gradient lowering.  A plain col2im scatter would re-associate
    the sums, so instead the gradient is computed as a second GEMM over
@@ -482,11 +487,10 @@ let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd bias =
    that division is exact and in range, else 0.  For a fixed input
    pixel the direct path accumulates over (o, ky, kx) ascending — the
    same order p ascends here. *)
-let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd wd
-    =
+let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+    goff wd gin ioff =
   let kdim = co * kh * kw in
   let ncol = h * w in
-  let gin = Array.make (ci * ncol) 0. in
   Workspace.with_floats (ci * kdim) (fun a2 ->
       for c = 0 to ci - 1 do
         let abase = c * kdim in
@@ -504,7 +508,7 @@ let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd wd
                 let o = p / (kh * kw) in
                 let rem = p mod (kh * kw) in
                 let ky = rem / kw and kx = rem mod kw in
-                let gbase = o * oh * ow in
+                let gbase = goff + (o * oh * ow) in
                 let pos = ref 0 in
                 for iy = 0 to h - 1 do
                   let ty = iy + pad - ky in
@@ -534,25 +538,23 @@ let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd wd
                 done;
                 pack_row ~k:kdim ~n:ncol pb p row 0
               done);
-          gemm ~par_macs:conv_par_macs ~m:ci ~k:kdim ~n:ncol a2 pb gin));
-  gin
+          gemm ~par_macs:conv_par_macs ~coff:ioff ~m:ci ~k:kdim ~n:ncol a2 pb gin))
 
 (* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
    layout — and B[(oy,ox), (c,ky,kx)] = x[c, oy*s+ky-pad, ox*s+kx-pad]
    or 0.  The direct path reduces each weight cell over (oy, ox)
    ascending, which is exactly how p ascends here. *)
 let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    xd =
+    goff xd xoff gw woff =
   let kdim = oh * ow in
   let ncol = ci * kh * kw in
-  let gw = Array.make (co * ncol) 0. in
   Workspace.with_floats (kdim * ncol) (fun pb ->
       Workspace.with_floats ncol (fun row ->
           for p = 0 to kdim - 1 do
             let oy = p / ow and ox = p mod ow in
             let pos = ref 0 in
             for c = 0 to ci - 1 do
-              let xbase = c * h * w in
+              let xbase = xoff + (c * h * w) in
               for ky = 0 to kh - 1 do
                 let iy = (oy * stride) + ky - pad in
                 if iy < 0 || iy >= h then begin
@@ -573,8 +575,8 @@ let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
             done;
             pack_row ~k:kdim ~n:ncol pb p row 0
           done);
-      gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol gd pb gw);
-  gw
+      gemm ~par_macs:conv_par_macs ~aoff:goff ~coff:woff ~m:co ~k:kdim ~n:ncol gd
+        pb gw)
 
 (* Transpose lowering: a transposed convolution is a stride-dilated
    correlation with the kernel flipped, so A3[o, (c,qy,qx)] =
@@ -583,11 +585,10 @@ let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
    0.  Flipping inside A3 makes p = (c, qy, qx) ascend in the same
    order the direct scatter visits contributions for a fixed output
    pixel: c ascending, then iy, then ix. *)
-let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
-    bias =
+let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd
+    bias out ooff =
   let kdim = ci * kh * kw in
   let ncol = oh * ow in
-  let out = Array.make (co * ncol) 0. in
   Workspace.with_floats (co * kdim) (fun a3 ->
       for o = 0 to co - 1 do
         let abase = o * kdim in
@@ -611,7 +612,7 @@ let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
                 let rem = p mod (kh * kw) in
                 let qy = rem / kw and qx = rem mod kw in
                 let ky = kh - 1 - qy and kx = kw - 1 - qx in
-                let xbase = c * h * w in
+                let xbase = xoff + (c * h * w) in
                 let pos = ref 0 in
                 for oy = 0 to oh - 1 do
                   let ty = oy + pad - ky in
@@ -635,36 +636,28 @@ let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd wd
                 done;
                 pack_row ~k:kdim ~n:ncol pb p row 0
               done);
-          gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol a3 pb out));
-  add_channel_bias out ~n:ncol bias;
-  out
+          gemm ~par_macs:conv_par_macs ~coff:ooff ~m:co ~k:kdim ~n:ncol a3 pb out));
+  add_channel_bias ~off:ooff out ~n:ncol bias
 
-let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
-  check_rank3 "Tensor.conv2d" x;
-  if rank weight <> 4 then invalid_arg "Tensor.conv2d: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let co = weight.shape.(0) in
-  if weight.shape.(1) <> ci then
-    invalid_arg "Tensor.conv2d: channel mismatch between input and weight";
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
-  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d: empty output";
+(* Output size of a convolution, or of a transposed one. *)
+let conv_out ~stride ~pad ~k n = ((n + (2 * pad) - k) / stride) + 1
+let conv_transpose_out ~stride ~pad ~k n = ((n - 1) * stride) - (2 * pad) + k
+
+let conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw xd xoff wd bias out
+    ooff =
+  let oh = conv_out ~stride ~pad ~k:kh h and ow = conv_out ~stride ~pad ~k:kw w in
   if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    make [| co; oh; ow |]
-      (conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow x.data
-         weight.data bias)
+    conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd bias out
+      ooff
   else begin
-    let out = Array.make (co * oh * ow) 0. in
-    let xd = x.data and wd = weight.data in
     (* each output channel writes only its own [out] slice, so channels
        distribute freely across domains without changing any result bit *)
     let per_out_channel o =
       let wbase_o = o * ci * kh * kw in
-      let obase_o = o * oh * ow in
+      let obase_o = ooff + (o * oh * ow) in
       for c = 0 to ci - 1 do
         let wbase = wbase_o + (c * kh * kw) in
-        let xbase = c * h * w in
+        let xbase = xoff + (c * h * w) in
         for ky = 0 to kh - 1 do
           for kx = 0 to kw - 1 do
             let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
@@ -699,35 +692,41 @@ let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
       for o = 0 to co - 1 do
         per_out_channel o
       done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make [| co; oh; ow |] out
+    else Pool.parallel_for ~chunk:1 0 co per_out_channel
   end
 
-let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
-    ~input_shape ~weight gout =
-  check_rank3 "Tensor.conv2d_backward_input" gout;
-  let ci = input_shape.(0) and h = input_shape.(1) and w = input_shape.(2) in
+let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+  check_rank3 "Tensor.conv2d" x;
+  if rank weight <> 4 then invalid_arg "Tensor.conv2d: weight must be rank 4";
+  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
   let co = weight.shape.(0) in
+  if weight.shape.(1) <> ci then
+    invalid_arg "Tensor.conv2d: channel mismatch between input and weight";
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = gout.shape.(1) and ow = gout.shape.(2) in
+  let oh = conv_out ~stride ~pad ~k:kh h and ow = conv_out ~stride ~pad ~k:kw w in
+  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d: empty output";
+  let out = Array.make (co * oh * ow) 0. in
+  conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data 0 weight.data
+    bias out 0;
+  make [| co; oh; ow |] out
+
+let conv2d_backward_input_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh
+    ~ow gd goff wd gin ioff =
   if
     stride >= 1
     && gemm_selected_dilated engine ~stride (co * ci * kh * kw * oh * ow)
   then
-    make input_shape
-      (conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-         gout.data weight.data)
+    conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+      goff wd gin ioff
   else begin
-    let gin = Array.make (ci * h * w) 0. in
-    let gd = gout.data and wd = weight.data in
     (* input channels own disjoint [gin] slices; within a channel the
        output channels accumulate in ascending order, a fixed reduction
        order at any job count *)
     let per_in_channel c =
-      let ibase = c * h * w in
+      let ibase = ioff + (c * h * w) in
       for o = 0 to co - 1 do
         let wbase = ((o * ci) + c) * kh * kw in
-        let gbase_o = o * oh * ow in
+        let gbase_o = goff + (o * oh * ow) in
         for ky = 0 to kh - 1 do
           for kx = 0 to kw - 1 do
             let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
@@ -754,29 +753,32 @@ let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
       for c = 0 to ci - 1 do
         per_in_channel c
       done
-    else Pool.parallel_for ~chunk:1 0 ci per_in_channel;
-    make input_shape gin
+    else Pool.parallel_for ~chunk:1 0 ci per_in_channel
   end
 
-let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
-    ~weight_shape gout =
-  check_rank3 "Tensor.conv2d_backward_weight" gout;
-  let ci = input.shape.(0) and h = input.shape.(1) and w = input.shape.(2) in
-  let co = weight_shape.(0) in
-  let kh = weight_shape.(2) and kw = weight_shape.(3) in
+let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
+    ~input_shape ~weight gout =
+  check_rank3 "Tensor.conv2d_backward_input" gout;
+  let ci = input_shape.(0) and h = input_shape.(1) and w = input_shape.(2) in
+  let co = weight.shape.(0) in
+  let kh = weight.shape.(2) and kw = weight.shape.(3) in
   let oh = gout.shape.(1) and ow = gout.shape.(2) in
+  let gin = Array.make (ci * h * w) 0. in
+  conv2d_backward_input_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+    gout.data 0 weight.data gin 0;
+  make input_shape gin
+
+let conv2d_backward_weight_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh
+    ~ow gd goff xd xoff gw woff =
   if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    make weight_shape
-      (conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-         gout.data input.data)
+    conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+      goff xd xoff gw woff
   else begin
-    let gw = Array.make (co * ci * kh * kw) 0. in
-    let gd = gout.data and xd = input.data in
     let per_out_channel o =
-      let gbase_o = o * oh * ow in
-      let wbase_o = o * ci * kh * kw in
+      let gbase_o = goff + (o * oh * ow) in
+      let wbase_o = woff + (o * ci * kh * kw) in
       for c = 0 to ci - 1 do
-        let xbase = c * h * w in
+        let xbase = xoff + (c * h * w) in
         let wbase = wbase_o + (c * kh * kw) in
         for ky = 0 to kh - 1 do
           for kx = 0 to kw - 1 do
@@ -805,39 +807,38 @@ let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
       for o = 0 to co - 1 do
         per_out_channel o
       done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make weight_shape gw
+    else Pool.parallel_for ~chunk:1 0 co per_out_channel
   end
 
-let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
-    ~bias =
-  check_rank3 "Tensor.conv2d_transpose" x;
-  if rank weight <> 4 then
-    invalid_arg "Tensor.conv2d_transpose: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  if weight.shape.(0) <> ci then
-    invalid_arg "Tensor.conv2d_transpose: channel mismatch";
-  let co = weight.shape.(1) in
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h - 1) * stride) - (2 * pad) + kh in
-  let ow = ((w - 1) * stride) - (2 * pad) + kw in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_transpose: empty output";
+let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
+    ~weight_shape gout =
+  check_rank3 "Tensor.conv2d_backward_weight" gout;
+  let ci = input.shape.(0) and h = input.shape.(1) and w = input.shape.(2) in
+  let co = weight_shape.(0) in
+  let kh = weight_shape.(2) and kw = weight_shape.(3) in
+  let oh = gout.shape.(1) and ow = gout.shape.(2) in
+  let gw = Array.make (co * ci * kh * kw) 0. in
+  conv2d_backward_weight_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+    gout.data 0 input.data 0 gw 0;
+  make weight_shape gw
+
+let conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw xd xoff wd
+    bias out ooff =
+  let oh = conv_transpose_out ~stride ~pad ~k:kh h in
+  let ow = conv_transpose_out ~stride ~pad ~k:kw w in
   if
     stride >= 1
     && gemm_selected_dilated engine ~stride (ci * co * kh * kw * h * w)
   then
-    make [| co; oh; ow |]
-      (conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow x.data
-         weight.data bias)
+    conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd
+      bias out ooff
   else begin
-    let out = Array.make (co * oh * ow) 0. in
-    let xd = x.data and wd = weight.data in
     (* output channels own disjoint [out] slices; within one, input
        channels scatter in ascending order — a fixed accumulation order *)
     let per_out_channel o =
-      let obase = o * oh * ow in
+      let obase = ooff + (o * oh * ow) in
       for c = 0 to ci - 1 do
-        let xbase = c * h * w in
+        let xbase = xoff + (c * h * w) in
         let wbase = ((c * co) + o) * kh * kw in
         for iy = 0 to h - 1 do
           let xrow = xbase + (iy * w) in
@@ -874,11 +875,28 @@ let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
       for o = 0 to co - 1 do
         per_out_channel o
       done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel;
-    make [| co; oh; ow |] out
+    else Pool.parallel_for ~chunk:1 0 co per_out_channel
   end
 
-let maxpool2 x =
+let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
+    ~bias =
+  check_rank3 "Tensor.conv2d_transpose" x;
+  if rank weight <> 4 then
+    invalid_arg "Tensor.conv2d_transpose: weight must be rank 4";
+  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
+  if weight.shape.(0) <> ci then
+    invalid_arg "Tensor.conv2d_transpose: channel mismatch";
+  let co = weight.shape.(1) in
+  let kh = weight.shape.(2) and kw = weight.shape.(3) in
+  let oh = conv_transpose_out ~stride ~pad ~k:kh h in
+  let ow = conv_transpose_out ~stride ~pad ~k:kw w in
+  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_transpose: empty output";
+  let out = Array.make (co * oh * ow) 0. in
+  conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data 0
+    weight.data bias out 0;
+  make [| co; oh; ow |] out
+
+let maxpool2_chw x =
   check_rank3 "Tensor.maxpool2" x;
   let c = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
   if h mod 2 <> 0 || w mod 2 <> 0 then
@@ -908,6 +926,17 @@ let maxpool2 x =
     done
   done;
   (make [| c; oh; ow |] out, arg)
+
+let maxpool2 x =
+  if rank x = 4 then begin
+    (* pooling is per channel, so the batch and channel axes fold; the
+       argmax stays a flat index into the rank-4 input *)
+    let n = x.shape.(0) and c = x.shape.(1) in
+    let h = x.shape.(2) and w = x.shape.(3) in
+    let y, arg = maxpool2_chw (reshape x [| n * c; h; w |]) in
+    (reshape y [| n; c; h / 2; w / 2 |], arg)
+  end
+  else maxpool2_chw x
 
 let maxpool2_backward ~input_shape argmax gout =
   let gin = Array.make (numel_of_shape input_shape) 0. in
@@ -954,19 +983,42 @@ let upsample_nearest2 x =
   make [| c; oh; ow |] out
 
 (* ------------------------------------------------------------------ *)
-(* Batched kernels (rank-4 [n; c; h; w]).                              *)
+(* Batched kernels (rank-4 [n; c; h; w]; a rank-3 activation is a      *)
+(* batch of one, and every result keeps its input's rank).             *)
 (*                                                                     *)
-(* The batched forward convolution folds the whole batch into one      *)
-(* im2col/GEMM call (kdim x n*oh*ow columns), so weight packing and    *)
-(* the parallel-region dispatch amortize over the batch — the payoff   *)
-(* the serve micro-batcher is built on.  Bit-exactness with the        *)
-(* per-sample kernels is preserved because each output element is      *)
-(* still one ascending-p dot chain: batching only adds columns to the  *)
-(* GEMM, never reorders an accumulation.                               *)
+(* These are the kernels of the batch-native autodiff tape and of      *)
+(* inference.  Each op splits its batch into contiguous sample chunks, *)
+(* one per domain, in a single Pool region ([for_batch]); the kernels  *)
+(* inside a chunk then run inline (nested regions do), so one sample's *)
+(* conv never pays a region per GEMM.  Every sample runs the rank-3    *)
+(* kernel in place, at its offset into the batch arrays.  (Folding a   *)
+(* chunk's samples into one im2col/GEMM was measured slower: its       *)
+(* packed B grows with the batch.)  Bit-exactness with the per-sample  *)
+(* kernels therefore holds for any chunking; the weight and bias       *)
+(* gradients are per-sample chains summed in ascending sample order.   *)
 (* ------------------------------------------------------------------ *)
 
 let check_rank4 name t =
   if rank t <> 4 then invalid_arg (name ^ ": expected a rank-4 tensor")
+
+(* [(n, c, h, w)] of a rank-3 (one sample) or rank-4 activation. *)
+let batch_geom name t =
+  match t.shape with
+  | [| c; h; w |] -> (1, c, h, w)
+  | [| n; c; h; w |] -> (n, c, h, w)
+  | _ -> invalid_arg (name ^ ": expected a rank-3 or rank-4 tensor")
+
+(* The result shape of a batched op: rank 3 in, rank 3 out. *)
+let batch_shape x n c h w = if rank x = 3 then [| c; h; w |] else [| n; c; h; w |]
+
+(* Batch-axis dispatch: [f b0 b1] once per contiguous chunk of samples.
+   Below [conv_par_macs] of total work, or with one job, the batch is
+   one chunk on the calling domain.  Which samples share a chunk never
+   changes a result bit. *)
+let for_batch n macs f =
+  let chunks = if macs < conv_par_macs then 1 else min n (Pool.effective_jobs ()) in
+  if chunks <= 1 then f 0 n
+  else Pool.for_chunks ~chunk:((n + chunks - 1) / chunks) 0 n f
 
 let stack ts =
   if Array.length ts = 0 then invalid_arg "Tensor.stack: empty batch";
@@ -988,122 +1040,136 @@ let unstack t =
   let per = numel_of_shape rest in
   Array.init n (fun i -> make rest (Array.sub t.data (i * per) per))
 
+let cat_batch ts =
+  let geoms = List.map (batch_geom "Tensor.cat_batch") ts in
+  match geoms with
+  | [] -> invalid_arg "Tensor.cat_batch: empty list"
+  | (_, c, h, w) :: _ ->
+      if List.exists (fun (_, c', h', w') -> (c', h', w') <> (c, h, w)) geoms
+      then invalid_arg "Tensor.cat_batch: sample shape mismatch";
+      let n = List.fold_left (fun acc (nb, _, _, _) -> acc + nb) 0 geoms in
+      make [| n; c; h; w |] (Array.concat (List.map (fun t -> t.data) ts))
+
+let slice_batch t lo n =
+  check_rank4 "Tensor.slice_batch" t;
+  if lo < 0 || n < 0 || lo + n > t.shape.(0) then
+    invalid_arg "Tensor.slice_batch: out of range";
+  let per = t.shape.(1) * t.shape.(2) * t.shape.(3) in
+  make
+    [| n; t.shape.(1); t.shape.(2); t.shape.(3) |]
+    (Array.sub t.data (lo * per) (n * per))
+
+let swap_halves t =
+  if rank t < 1 || t.shape.(0) mod 2 <> 0 then
+    invalid_arg "Tensor.swap_halves: leading dimension must be even";
+  let half = Array.length t.data / 2 in
+  make t.shape
+    (Array.append (Array.sub t.data half half) (Array.sub t.data 0 half))
+
 let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
-  check_rank4 "Tensor.conv2d_batch" x;
+  let n, ci, h, w = batch_geom "Tensor.conv2d_batch" x in
   if rank weight <> 4 then
     invalid_arg "Tensor.conv2d_batch: weight must be rank 4";
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
   let co = weight.shape.(0) in
   if weight.shape.(1) <> ci then
     invalid_arg "Tensor.conv2d_batch: channel mismatch between input and weight";
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h + (2 * pad) - kh) / stride) + 1 in
-  let ow = ((w + (2 * pad) - kw) / stride) + 1 in
+  let oh = conv_out ~stride ~pad ~k:kh h and ow = conv_out ~stride ~pad ~k:kw w in
   if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_batch: empty output";
-  let sample_macs = co * ci * kh * kw * oh * ow in
-  if n > 0 && stride >= 1 && gemm_selected engine (n * sample_macs) then begin
-    (* One GEMM for the whole batch: column j = (b, oy, ox). *)
-    let kdim = ci * kh * kw in
-    let ohw = oh * ow in
-    let ncol = n * ohw in
-    let g = Array.make (co * ncol) 0. in
-    let xd = x.data in
-    Workspace.with_floats (kdim * ncol) (fun pb ->
-        Workspace.with_floats ncol (fun row ->
-            for p = 0 to kdim - 1 do
-              let c = p / (kh * kw) in
-              let rem = p mod (kh * kw) in
-              let ky = rem / kw and kx = rem mod kw in
-              let pos = ref 0 in
-              for b = 0 to n - 1 do
-                let xbase = (((b * ci) + c) * h) * w in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * stride) + ky - pad in
-                  if iy < 0 || iy >= h then begin
-                    Array.fill row !pos ow 0.;
-                    pos := !pos + ow
-                  end
-                  else begin
-                    let xrow = xbase + (iy * w) in
-                    if stride = 1 then begin
-                      fill_line_s1 row !pos xd xrow ~shift:(kx - pad)
-                        ~len_src:w ~len_dst:ow;
-                      pos := !pos + ow
-                    end
-                    else
-                      for ox = 0 to ow - 1 do
-                        let ix = (ox * stride) + kx - pad in
-                        Array.unsafe_set row !pos
-                          (if ix >= 0 && ix < w then
-                             Array.unsafe_get xd (xrow + ix)
-                           else 0.);
-                        incr pos
-                      done
-                  end
-                done
-              done;
-              pack_row ~k:kdim ~n:ncol pb p row 0
-            done);
-        gemm ~par_macs:conv_par_macs ~m:co ~k:kdim ~n:ncol weight.data pb g);
-    add_channel_bias g ~n:ncol bias;
-    (* [co; n; oh*ow] -> [n; co; oh*ow] *)
-    let out = Array.make (n * co * ohw) 0. in
-    for o = 0 to co - 1 do
-      let grow = o * ncol in
-      for b = 0 to n - 1 do
-        Array.blit g (grow + (b * ohw)) out ((((b * co) + o) * ohw)) ohw
-      done
-    done;
-    make [| n; co; oh; ow |] out
-  end
-  else begin
-    let sample_in = ci * h * w in
-    let sample_out = co * oh * ow in
-    let out = Array.make (n * sample_out) 0. in
-    for b = 0 to n - 1 do
-      let xb = make [| ci; h; w |] (Array.sub x.data (b * sample_in) sample_in) in
-      let yb = conv2d ~stride ~pad ~engine xb ~weight ~bias in
-      Array.blit yb.data 0 out (b * sample_out) sample_out
-    done;
-    make [| n; co; oh; ow |] out
-  end
+  let ohw = oh * ow in
+  let out = Array.make (n * co * ohw) 0. in
+  for_batch n (n * co * ci * kh * kw * ohw) (fun b0 b1 ->
+      for b = b0 to b1 - 1 do
+        conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data
+          (b * ci * h * w) weight.data bias out (b * co * ohw)
+      done);
+  make (batch_shape x n co oh ow) out
 
-(* Per-sample dispatch: the decoder's stride-2 up-convolutions live on
-   the direct path anyway (see [gemm_selected_dilated]), so there is no
-   batched lowering to win — correctness and bit-identity come free. *)
 let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
     ~weight ~bias =
-  check_rank4 "Tensor.conv2d_transpose_batch" x;
+  let n, ci, h, w = batch_geom "Tensor.conv2d_transpose_batch" x in
   if rank weight <> 4 then
     invalid_arg "Tensor.conv2d_transpose_batch: weight must be rank 4";
-  let n = x.shape.(0) and ci = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
   if weight.shape.(0) <> ci then
     invalid_arg "Tensor.conv2d_transpose_batch: channel mismatch";
   let co = weight.shape.(1) in
   let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = ((h - 1) * stride) - (2 * pad) + kh in
-  let ow = ((w - 1) * stride) - (2 * pad) + kw in
+  let oh = conv_transpose_out ~stride ~pad ~k:kh h in
+  let ow = conv_transpose_out ~stride ~pad ~k:kw w in
   if oh <= 0 || ow <= 0 then
     invalid_arg "Tensor.conv2d_transpose_batch: empty output";
-  let sample_in = ci * h * w in
-  let sample_out = co * oh * ow in
-  let out = Array.make (n * sample_out) 0. in
-  for b = 0 to n - 1 do
-    let xb = make [| ci; h; w |] (Array.sub x.data (b * sample_in) sample_in) in
-    let yb = conv2d_transpose ~stride ~pad ~engine xb ~weight ~bias in
-    Array.blit yb.data 0 out (b * sample_out) sample_out
+  let out = Array.make (n * co * oh * ow) 0. in
+  for_batch n (n * ci * co * kh * kw * h * w) (fun b0 b1 ->
+      for b = b0 to b1 - 1 do
+        conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data
+          (b * ci * h * w) weight.data bias out (b * co * oh * ow)
+      done);
+  make (batch_shape x n co oh ow) out
+
+let conv2d_backward_input_batch ?(stride = 1) ?(pad = 0) ~input_shape ~weight
+    gout =
+  let n, co, oh, ow = batch_geom "Tensor.conv2d_backward_input_batch" gout in
+  let ci, h, w =
+    match input_shape with
+    | [| ci; h; w |] | [| _; ci; h; w |] -> (ci, h, w)
+    | _ -> invalid_arg "Tensor.conv2d_backward_input_batch: bad input shape"
+  in
+  let kh = weight.shape.(2) and kw = weight.shape.(3) in
+  let gin = Array.make (n * ci * h * w) 0. in
+  for_batch n (n * co * ci * kh * kw * oh * ow) (fun b0 b1 ->
+      for b = b0 to b1 - 1 do
+        conv2d_backward_input_into ~stride ~pad ~engine:`Auto ~ci ~h ~w ~co ~kh
+          ~kw ~oh ~ow gout.data (b * co * oh * ow) weight.data gin (b * ci * h * w)
+      done);
+  make input_shape gin
+
+let conv2d_backward_weight_batch ?(stride = 1) ?(pad = 0) ~input ~weight_shape
+    gout =
+  let n, ci, h, w = batch_geom "Tensor.conv2d_backward_weight_batch" input in
+  let _, co, oh, ow = batch_geom "Tensor.conv2d_backward_weight_batch" gout in
+  if n < 1 then invalid_arg "Tensor.conv2d_backward_weight_batch: empty batch";
+  let kh = weight_shape.(2) and kw = weight_shape.(3) in
+  let wsize = co * ci * kh * kw in
+  (* one weight gradient per sample, then their sum in sample order *)
+  let parts = Array.make (n * wsize) 0. in
+  for_batch n (n * wsize * oh * ow) (fun b0 b1 ->
+      for b = b0 to b1 - 1 do
+        conv2d_backward_weight_into ~stride ~pad ~engine:`Auto ~ci ~h ~w ~co ~kh
+          ~kw ~oh ~ow gout.data (b * co * oh * ow) input.data (b * ci * h * w)
+          parts (b * wsize)
+      done);
+  let gw = Array.sub parts 0 wsize in
+  for b = 1 to n - 1 do
+    for i = 0 to wsize - 1 do
+      Array.unsafe_set gw i
+        (Array.unsafe_get gw i +. Array.unsafe_get parts ((b * wsize) + i))
+    done
   done;
-  make [| n; co; oh; ow |] out
+  make weight_shape gw
+
+let channel_sums g =
+  let n, c, h, w = batch_geom "Tensor.channel_sums" g in
+  let hw = h * w in
+  let part = Array.make (n * c) 0. in
+  for_batch n (n * c * hw) (fun b0 b1 ->
+      for bo = b0 * c to (b1 * c) - 1 do
+        let acc = ref 0. in
+        for i = 0 to hw - 1 do
+          acc := !acc +. Array.unsafe_get g.data ((bo * hw) + i)
+        done;
+        part.(bo) <- !acc
+      done);
+  make [| c |]
+    (Array.init c (fun o ->
+         let s = ref part.(o) in
+         for b = 1 to n - 1 do
+           s := !s +. part.((b * c) + o)
+         done;
+         !s))
 
 let maxpool2_batch x =
   check_rank4 "Tensor.maxpool2_batch" x;
-  let n = x.shape.(0) and c = x.shape.(1) in
-  let h = x.shape.(2) and w = x.shape.(3) in
-  (* pooling is per channel, so the batch and channel axes fold *)
-  let y, _ = maxpool2 (reshape x [| n * c; h; w |]) in
-  reshape y [| n; c; h / 2; w / 2 |]
+  fst (maxpool2 x)
 
 let concat_channels_batch ts =
   match ts with
@@ -1903,6 +1969,9 @@ let as_rank3 t =
   | _ -> invalid_arg "Tensor: expected a rank-2 or rank-3 tensor"
 
 let concat_channels ts =
+  if ts <> [] && List.for_all (fun t -> rank t = 4) ts then
+    concat_channels_batch ts
+  else
   match List.map as_rank3 ts with
   | [] -> invalid_arg "Tensor.concat_channels: empty list"
   | first :: _ as ts ->
@@ -1923,6 +1992,18 @@ let concat_channels ts =
       make [| c; h; w |] out
 
 let slice_channels t lo n =
+  if rank t = 4 then begin
+    let nb = t.shape.(0) and c = t.shape.(1) in
+    let hw = t.shape.(2) * t.shape.(3) in
+    if lo < 0 || n < 0 || lo + n > c then
+      invalid_arg "Tensor.slice_channels: out of range";
+    let out = Array.make (nb * n * hw) 0. in
+    for b = 0 to nb - 1 do
+      Array.blit t.data (((b * c) + lo) * hw) out (b * n * hw) (n * hw)
+    done;
+    make [| nb; n; t.shape.(2); t.shape.(3) |] out
+  end
+  else
   let t = as_rank3 t in
   let c = t.shape.(0) and h = t.shape.(1) and w = t.shape.(2) in
   if lo < 0 || n < 0 || lo + n > c then

@@ -169,9 +169,10 @@ val conv2d_transpose :
     spatial size [(h-1)*stride - 2*pad + kh]. *)
 
 val maxpool2 : t -> t * int array
-(** 2x2, stride-2 max pooling.  Also returns the flat argmax index into
-    the input for each output element (for the backward pass).  Requires
-    even spatial dimensions. *)
+(** 2x2, stride-2 max pooling of a rank-3 tensor or a rank-4 batch.
+    Also returns the flat argmax index into the input for each output
+    element (for the backward pass).  Requires even spatial
+    dimensions. *)
 
 val maxpool2_backward : input_shape:int array -> int array -> t -> t
 (** [maxpool2_backward ~input_shape argmax gout] scatters [gout] back
@@ -183,12 +184,15 @@ val upsample_nearest2 : t -> t
 
 (** {1 Batched kernels (rank 4 activations [[n; c; h; w]])}
 
-    Inference-time batching for the serve micro-batcher: a batch of [n]
-    samples runs as {e one} kernel call, so the im2col/GEMM engine packs
-    the weight matrix once and its parallel region covers [n] times the
-    work.  Every batched kernel is bit-identical to [n] independent
-    per-sample calls — batching adds GEMM columns, it never reorders a
-    floating-point accumulation. *)
+    The kernels of the batch-native autodiff tape and of inference.  A
+    rank-3 activation is accepted as a batch of one, and every result
+    keeps its input's rank.  Each op splits its batch into contiguous
+    sample chunks, one per domain, in a single parallel region; the
+    kernels inside a chunk run inline, each sample in place at its
+    offset into the batch.  Every batched kernel is bit-identical to
+    [n] independent per-sample calls at every [DCO3D_JOBS]: outputs and
+    input gradients are those calls, and the weight and bias gradients
+    are per-sample chains summed in ascending sample order. *)
 
 val stack : t array -> t
 (** [stack [|t0; ...; t_{n-1}|]] concatenates [n] same-shaped tensors
@@ -199,21 +203,48 @@ val unstack : t -> t array
 (** Inverse of {!stack}: split the leading axis into [n] independently
     owned tensors. *)
 
+val cat_batch : t list -> t
+(** Concatenate activations along the batch axis into a rank-4 tensor;
+    a rank-3 part counts as one sample.
+    @raise Invalid_argument on an empty list or differing sample
+    shapes. *)
+
+val slice_batch : t -> int -> int -> t
+(** [slice_batch x lo n] copies samples [lo..lo+n-1] of a rank-4
+    tensor. *)
+
+val swap_halves : t -> t
+(** Exchange the first and second halves of the leading axis — the
+    two dies of a stacked Siamese batch.  Its own inverse. *)
+
 val conv2d_batch :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
   bias:t option -> t
-(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]].
-    Under [`Auto]/[`Gemm] the whole batch is lowered to a single
-    im2col/GEMM with [n * oh * ow] columns. *)
+(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]]. *)
 
 val conv2d_transpose_batch :
   ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
   bias:t option -> t
 (** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]). *)
 
+val conv2d_backward_input_batch :
+  ?stride:int -> ?pad:int -> input_shape:int array -> weight:t -> t -> t
+(** {!conv2d_backward_input} over a batch of output gradients. *)
+
+val conv2d_backward_weight_batch :
+  ?stride:int -> ?pad:int -> input:t -> weight_shape:int array -> t -> t
+(** {!conv2d_backward_weight} summed over the batch in ascending sample
+    order.
+    @raise Invalid_argument on an empty batch. *)
+
+val channel_sums : t -> t
+(** Per-channel sums of a batch — the bias gradient of a convolution:
+    each sample's channel is summed in pixel order, then the samples
+    in ascending order. *)
+
 val maxpool2_batch : t -> t
-(** 2x2, stride-2 max pooling over a rank-4 batch (no argmax — this is
-    an inference-only kernel). *)
+(** 2x2, stride-2 max pooling over a rank-4 batch, without the argmax
+    ({!maxpool2} also takes rank-4 input and returns it). *)
 
 val concat_channels_batch : t list -> t
 (** Concatenate rank-4 tensors along the channel axis; batch and
@@ -305,10 +336,12 @@ val resize_nearest : t -> int -> int -> t
 
 val concat_channels : t list -> t
 (** Stack rank-3 tensors along the channel axis (spatial dims must
-    agree); rank-2 inputs are treated as single channels. *)
+    agree); rank-2 inputs are treated as single channels.  A list of
+    rank-4 batches goes to {!concat_channels_batch}. *)
 
 val slice_channels : t -> int -> int -> t
-(** [slice_channels x lo n] extracts channels [lo..lo+n-1] as a copy. *)
+(** [slice_channels x lo n] extracts channels [lo..lo+n-1] as a copy
+    (of every sample, for a rank-4 batch). *)
 
 val channel : t -> int -> t
 (** [channel x c] extracts channel [c] of a rank-3 tensor as a rank-2

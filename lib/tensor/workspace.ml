@@ -11,9 +11,11 @@
    Each domain owns a private list of slots (so borrowing never takes a
    lock and pool workers cannot contend); a slot is a float array that
    is handed out, used, and returned, and is only ever replaced by a
-   bigger one.  Capacities are rounded up to powers of two so that
-   nearby request sizes reuse one slot instead of growing a ladder of
-   near-duplicates.  Steady state — e.g. the Predictor.train epoch loop
+   bigger one.  Capacities are rounded up to a multiple of an eighth of
+   the next power of two, so that nearby request sizes reuse one slot
+   instead of growing a ladder of near-duplicates, while a slot wastes
+   at most an eighth of its size (every pool domain that runs a
+   sample's convolutions holds its own im2col buffers).  Steady state — e.g. the Predictor.train epoch loop
    calling the same convolution shapes every step — performs zero
    scratch allocations. *)
 
@@ -43,7 +45,9 @@ let round_capacity n =
   while !c < n do
     c := !c * 2
   done;
-  !c
+  (* within an eighth of the power of two above [n] *)
+  let step = max 16 (!c / 8) in
+  (n + step - 1) / step * step
 
 (* Smallest free slot that fits, so a small request does not pin the
    big GEMM slot while a nested borrow is live. *)

@@ -9,9 +9,10 @@
     every step — perform zero scratch allocations.
 
     Borrowed buffers may be {e larger} than requested (capacities round
-    up to powers of two) and contain stale data; callers must write
-    before reading, or use {!with_zeroed}.  Borrows nest: each
-    [with_floats] gets a distinct slot. *)
+    up to a multiple of an eighth of the next power of two) and contain
+    stale data; callers must write before reading, or use
+    {!with_zeroed}.  Borrows nest: each [with_floats] gets a distinct
+    slot. *)
 
 val with_floats : int -> (float array -> 'a) -> 'a
 (** [with_floats n f] calls [f buf] with a scratch buffer of at least

@@ -629,6 +629,41 @@ let test_tcl_only_moved () =
   let locs = Tcl.parse_locations text in
   Alcotest.(check int) "only two cells" 2 (List.length locs)
 
+(* ------------------------------------------------------------------ *)
+(* Golden bit-identity                                                 *)
+(*                                                                     *)
+(* Digests recorded from the per-die tape (one forward per die, one    *)
+(* conv node per die).  Any change to the tape, the kernels or the     *)
+(* training/Algorithm-2 loops that moves a single bit of the trained   *)
+(* weights or of the optimized placement fails here, at any            *)
+(* DCO3D_JOBS.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_golden_trained_weights () =
+  let t, _ = Lazy.force trained in
+  Alcotest.(check string) "fingerprint after 6 epochs"
+    "04b7e3accf8722c236336b97abbe9798" (Predictor.fingerprint t);
+  (* one epoch over the 8x orientation-augmented set *)
+  let d = Lazy.force tiny_dataset in
+  let train, test = Dataset.split ~test_fraction:0.33 ~seed:1 d in
+  let aug, _ =
+    Predictor.train ~epochs:1 ~input_hw:16 ~base_channels:4 ~augment:true
+      ~seed:5 ~train ~test ()
+  in
+  Alcotest.(check string) "fingerprint after an augmented epoch"
+    "bf43b93e46d8f8670b33754111b1d453" (Predictor.fingerprint aug)
+
+let test_golden_dco () =
+  let _, _, base, _ = Lazy.force env in
+  let predictor, _ = Lazy.force trained in
+  let config = { Dco.default_config with Dco.iterations = 4; seed = 4 } in
+  let p, report = Dco.optimize ~config ~predictor base in
+  Alcotest.(check string) "stats and placement digest"
+    "c565f2913dc02b942261dc38975a8ed2"
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string (report.Dco.stats, p.Pl.x, p.Pl.y, p.Pl.tier) [])))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -686,6 +721,11 @@ let suites =
         Alcotest.test_case "cool deterministic" `Quick test_dco_cool_deterministic;
         Alcotest.test_case "resize gradcheck" `Quick test_resize_value_gradcheck;
         Alcotest.test_case "normalize gradcheck" `Quick test_normalize_features_gradcheck;
+      ] );
+    ( "core.golden",
+      [
+        Alcotest.test_case "trained weights" `Slow test_golden_trained_weights;
+        Alcotest.test_case "dco stats and placement" `Slow test_golden_dco;
       ] );
     ( "core.tcl",
       [

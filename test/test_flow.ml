@@ -101,6 +101,38 @@ let test_cong_variant_runs () =
   Alcotest.(check bool) "congestion knobs" true
     (r.Flow.params.Dco3d_place.Params.cong_restruct_effort > 0)
 
+(* The DCO-3D acceptance guard never hands back more routed overflow
+   than Pin-3D's, and accepts exactly the placements that do not route
+   worse.  A real routed placement (a perturbed Pin-3D one) and
+   synthetic overflows on either side of Pin-3D's cover both arms. *)
+let test_accept_dco_never_worse () =
+  let ctx = Lazy.force ctx_env in
+  let pin3d = Lazy.force pin3d in
+  let base = pin3d.Flow.place_stage.Flow.overflow in
+  let perturbed =
+    Dco3d_place.Placer.perturb ~seed:3 ~fraction:0.3 pin3d.Flow.placement
+  in
+  let routed = Flow.run_with_placement ctx ~name:"DCO-3D" perturbed in
+  let with_overflow k =
+    { routed with
+      Flow.place_stage = { routed.Flow.place_stage with Flow.overflow = k } }
+  in
+  List.iter
+    (fun dco ->
+      let res, accepted = Flow.accept_dco ~pin3d dco in
+      let ovf = dco.Flow.place_stage.Flow.overflow in
+      Alcotest.(check bool)
+        (Printf.sprintf "overflow %d kept at or below Pin-3D's %d"
+           res.Flow.place_stage.Flow.overflow base)
+        true
+        (res.Flow.place_stage.Flow.overflow <= base);
+      Alcotest.(check bool) "accepted iff not worse" (ovf <= base) accepted;
+      Alcotest.(check string) "reports the DCO-3D flow name" "DCO-3D"
+        res.Flow.flow_name;
+      Alcotest.(check bool) "keeps Pin-3D's placement on rejection" true
+        (accepted || res.Flow.placement == pin3d.Flow.placement))
+    (routed :: List.map with_overflow [ 0; base; base + 1; (2 * base) + 7 ])
+
 let suites =
   [
     ( "flow",
@@ -112,5 +144,6 @@ let suites =
         Alcotest.test_case "custom placement entry" `Quick test_custom_placement_entry;
         Alcotest.test_case "BO variant" `Slow test_bo_runs_and_reports_best_params;
         Alcotest.test_case "Cong variant" `Quick test_cong_variant_runs;
+        Alcotest.test_case "DCO acceptance guard" `Quick test_accept_dco_never_worse;
       ] );
   ]

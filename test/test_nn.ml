@@ -150,10 +150,10 @@ let test_unet_trains () =
      this is a miniature of Algorithm 1. *)
   let net = SiaUNet.create (Rng.create 19) small_cfg in
   let opt = Opt.adam ~lr:0.01 (SiaUNet.params net) in
-  let f0 = T.rand_uniform (Rng.create 20) [| 3; 8; 8 |] in
-  let f1 = T.rand_uniform (Rng.create 21) [| 3; 8; 8 |] in
-  let t0 = T.rand_uniform (Rng.create 22) [| 1; 8; 8 |] in
-  let t1 = T.rand_uniform (Rng.create 23) [| 1; 8; 8 |] in
+  let f0 = T.rand_uniform (Rng.create 20) [| 1; 3; 8; 8 |] in
+  let f1 = T.rand_uniform (Rng.create 21) [| 1; 3; 8; 8 |] in
+  let t0 = T.rand_uniform (Rng.create 22) [| 1; 1; 8; 8 |] in
+  let t1 = T.rand_uniform (Rng.create 23) [| 1; 1; 8; 8 |] in
   let run_epoch () =
     let c0, c1 = SiaUNet.forward net (V.const f0) (V.const f1) in
     let loss =
