@@ -597,6 +597,14 @@ let kernels () =
   let gout = T.rand_uniform rng [| 16; 64; 64 |] in
   let timg = T.rand_uniform rng [| 8; 32; 32 |] in
   let tw = T.randn rng [| 8; 8; 4; 4 |] in
+  (* the UNet's own conv shapes, drawn from a second stream so the rows
+     above keep their inputs *)
+  let urng = Rng.create 13 in
+  let ux = T.rand_uniform urng [| 2; 8; 32; 32 |] in
+  let uw = T.randn urng [| 8; 8; 3; 3 |] in
+  let ug = T.rand_uniform urng [| 2; 8; 32; 32 |] in
+  let utx = T.rand_uniform urng [| 2; 16; 16; 16 |] in
+  let utw = T.randn urng [| 16; 8; 2; 2 |] in
   let conv_flops co ci kh kw oh ow =
     2. *. float_of_int (co * ci * kh * kw * oh * ow)
   in
@@ -611,14 +619,14 @@ let kernels () =
         "8x64x64 -> 16x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
-        fun () -> [ T.conv2d ~pad:1 img ~weight:w ~bias:None ] );
+        fun () -> [ T.conv2d_batch ~pad:1 img ~weight:w ~bias:None ] );
       ( "conv2d_backward_input",
         "16x64x64 -> 8x64x64, 3x3",
         Some (conv_flops 16 8 3 3 64 64),
         3,
         fun () ->
           [
-            T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 64; 64 |]
+            T.conv2d_backward_input_batch ~pad:1 ~input_shape:[| 8; 64; 64 |]
               ~weight:w gout;
           ] );
       ( "conv2d_backward_weight",
@@ -627,14 +635,33 @@ let kernels () =
         3,
         fun () ->
           [
-            T.conv2d_backward_weight ~pad:1 ~input:img
+            T.conv2d_backward_weight_batch ~pad:1 ~input:img
               ~weight_shape:[| 16; 8; 3; 3 |] gout;
           ] );
       ( "conv2d_transpose",
         "8x32x32 -> 8x64x64, 4x4 s2",
         Some (conv_flops 8 8 4 4 32 32),
         3,
-        fun () -> [ T.conv2d_transpose ~stride:2 ~pad:1 timg ~weight:tw ~bias:None ] );
+        fun () -> [ T.conv2d_transpose_batch ~stride:2 ~pad:1 timg ~weight:tw ~bias:None ] );
+      ( "unet_conv3x3",
+        "2x8x32x32 -> 2x8x32x32, 3x3, fwd+bwd",
+        Some (3. *. 2. *. conv_flops 8 8 3 3 32 32),
+        5,
+        fun () ->
+          (* an 8 -> 8 conv of the UNet's full-resolution level over
+             both dies: forward, backward-input and backward-weight *)
+          [
+            T.conv2d_batch ~pad:1 ux ~weight:uw ~bias:None;
+            T.conv2d_backward_input_batch ~pad:1 ~input_shape:(T.shape ux)
+              ~weight:uw ug;
+            T.conv2d_backward_weight_batch ~pad:1 ~input:ux
+              ~weight_shape:(T.shape uw) ug;
+          ] );
+      ( "unet_convT2x2",
+        "2x16x16x16 -> 2x8x32x32, 2x2 s2",
+        Some (2. *. conv_flops 8 16 2 2 16 16),
+        5,
+        fun () -> [ T.conv2d_transpose_batch ~stride:2 utx ~weight:utw ~bias:None ] );
       ( "rudy_map",
         Printf.sprintf "%s, 64x64 gcells" e.name,
         None,

@@ -1,4 +1,5 @@
 module T = Dco3d_tensor.Tensor
+module Obs = Dco3d_obs.Obs
 
 type t = {
   id : int;
@@ -81,14 +82,11 @@ let scale s a = node (T.scale s a.data) [ a ] (fun g -> [ Some (T.scale s g) ])
 let add_scalar s a = node (T.add_scalar s a.data) [ a ] (fun g -> [ Some g ])
 
 let relu a =
-  let y = T.relu a.data in
-  node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv xv -> if xv > 0. then gv else 0.) g a.data) ])
+  node (T.relu a.data) [ a ] (fun g -> [ Some (T.relu_backward ~input:a.data g) ])
 
 let leaky_relu slope a =
-  let y = T.map (fun x -> if x > 0. then x else slope *. x) a.data in
-  node y [ a ] (fun g ->
-      [ Some (T.map2 (fun gv xv -> if xv > 0. then gv else slope *. gv) g a.data) ])
+  node (T.leaky_relu slope a.data) [ a ] (fun g ->
+      [ Some (T.leaky_relu_backward slope ~input:a.data g) ])
 
 let sigmoid a =
   let y = T.sigmoid a.data in
@@ -162,35 +160,45 @@ let add_bias_rows x b =
 
 (* Rank-3 activations are one sample, rank-4 ones a batch; the kernels
    split the batch across domains, and the weight and bias gradients sum
-   the per-sample chains in ascending sample order. *)
+   the per-sample chains in ascending sample order.  Each kernel call
+   runs in its own Obs span (forward, backward-input, backward-weight),
+   so a traced run's stage profile shows where a training epoch or an
+   Algorithm-2 iteration spends its convolution time. *)
 let conv2d ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let y =
-    T.conv2d_batch ~stride ~pad x.data ~weight:weight.data
-      ~bias:(Option.map data bias)
+    Obs.with_span "conv_fwd" (fun () ->
+        T.conv2d_batch ~stride ~pad x.data ~weight:weight.data
+          ~bias:(Option.map data bias))
   in
   node y (x :: weight :: Option.to_list bias) (fun g ->
       want x (fun () ->
-          T.conv2d_backward_input_batch ~stride ~pad
-            ~input_shape:(T.shape x.data) ~weight:weight.data g)
+          Obs.with_span "conv_bwd_input" (fun () ->
+              T.conv2d_backward_input_batch ~stride ~pad
+                ~input_shape:(T.shape x.data) ~weight:weight.data g))
       :: want weight (fun () ->
-             T.conv2d_backward_weight_batch ~stride ~pad ~input:x.data
-               ~weight_shape:(T.shape weight.data) g)
+             Obs.with_span "conv_bwd_weight" (fun () ->
+                 T.conv2d_backward_weight_batch ~stride ~pad ~input:x.data
+                   ~weight_shape:(T.shape weight.data) g))
       :: List.map (fun b -> want b (fun () -> T.channel_sums g)) (Option.to_list bias))
 
 let conv2d_transpose ?(stride = 1) ?(pad = 0) x ~weight ~bias =
   let y =
-    T.conv2d_transpose_batch ~stride ~pad x.data ~weight:weight.data
-      ~bias:(Option.map data bias)
+    Obs.with_span "convT_fwd" (fun () ->
+        T.conv2d_transpose_batch ~stride ~pad x.data ~weight:weight.data
+          ~bias:(Option.map data bias))
   in
   node y (x :: weight :: Option.to_list bias) (fun g ->
       (* Transposed conv forward == conv backward-input, so its input
          gradient is a plain convolution of g with the same kernel
          (viewed as [ci <- co]), and the weight gradient mirrors
          conv2d_backward_weight with the roles of x and g exchanged. *)
-      want x (fun () -> T.conv2d_batch ~stride ~pad g ~weight:weight.data ~bias:None)
+      want x (fun () ->
+          Obs.with_span "convT_bwd_input" (fun () ->
+              T.conv2d_batch ~stride ~pad g ~weight:weight.data ~bias:None))
       :: want weight (fun () ->
-             T.conv2d_backward_weight_batch ~stride ~pad ~input:g
-               ~weight_shape:(T.shape weight.data) x.data)
+             Obs.with_span "convT_bwd_weight" (fun () ->
+                 T.conv2d_backward_weight_batch ~stride ~pad ~input:g
+                   ~weight_shape:(T.shape weight.data) x.data))
       :: List.map (fun b -> want b (fun () -> T.channel_sums g)) (Option.to_list bias))
 
 let maxpool2 x =

@@ -77,7 +77,10 @@ val add_bias_rows : t -> t -> t
     across domains (see {!Dco3d_tensor.Tensor.conv2d_batch}); its
     weight and bias gradients sum the per-sample gradients in
     ascending sample order, so a batch of [n] gives the same bits as
-    [n] single-sample nodes sharing the weight. *)
+    [n] single-sample nodes sharing the weight.  With {!Dco3d_obs.Obs}
+    recording, each conv kernel runs in a span of its own: [conv_fwd],
+    [conv_bwd_input] and [conv_bwd_weight] for {!conv2d}, [convT_fwd],
+    [convT_bwd_input] and [convT_bwd_weight] for {!conv2d_transpose}. *)
 
 val conv2d : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
 val conv2d_transpose : ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t

@@ -203,7 +203,7 @@ let forward_batch_q q x0 x1 =
   let skips0, b0 = encode_batch_q q x0 in
   let skips1, b1 = encode_batch_q q x1 in
   let communicate own other =
-    T.map (fun v -> if v > 0. then v else 0.1 *. v)
+    T.leaky_relu 0.1
       (T.add
          (Quant.forward_batch q.q_comm_self own)
          (Quant.forward_batch q.q_comm_cross other))

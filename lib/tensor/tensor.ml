@@ -6,14 +6,15 @@ module Pool = Dco3d_parallel.Pool
    A kernel below its threshold stays on the calling domain: pool-v2
    dispatch costs a couple of microseconds (two atomic writes plus a
    worker wake-up), so a region is only worth opening when every helper
-   gets well over that in work.  The crossovers were calibrated per
-   kernel against the PR 1 bench shapes (BENCH_kernels.json): the
-   packed GEMM amortizes dispatch fastest (dense FMAs), the conv
-   kernels pay an extra im2col pass first, and matvec is memory-bound
-   (one float of traffic per MAC leaves little for extra cores), so
-   each gets its own floor instead of PR 1's single global
-   par_threshold = 1 lsl 16, which sent sub-crossover shapes to the
-   pool at a loss.
+   gets well over that in work.  The packed GEMM amortizes dispatch
+   fastest (dense FMAs); matvec is memory-bound (one float of traffic
+   per MAC leaves little for extra cores), so it gets a higher floor.
+   The conv kernels split a lone sample's output-channel pairs
+   (input-channel pairs for backward-input) across domains above
+   [conv_par_macs]; every 3x3 conv of the UNet at 32x32 input
+   (295k-1.2M MACs a sample) clears it, while its 1x1 convs stay
+   inline.  Inside a batch chunk ([for_batch]) every sample runs inline
+   anyway.
 
      kernel                  threshold (MACs)  first clearly-winning shape
      matmul / packed GEMM    1 lsl 17          128 x 128 x 128
@@ -26,11 +27,6 @@ module Pool = Dco3d_parallel.Pool
 let matmul_par_macs = 1 lsl 17
 let conv_par_macs = 1 lsl 17
 let matvec_par_macs = 1 lsl 18
-
-(* Below this many MACs a convolution skips the im2col/GEMM lowering:
-   packing would cost more than the arithmetic it feeds.  The two conv
-   paths are bit-identical, so the switch is invisible to callers. *)
-let conv_gemm_min_macs = 4096
 
 let numel_of_shape shape = Array.fold_left ( * ) 1 shape
 
@@ -166,14 +162,78 @@ let map2 f a b =
 
 let iteri_flat f t = Array.iteri f t.data
 
-let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
-let mul a b = map2 ( *. ) a b
+(* The hot elementwise ops of the UNet tape run as direct loops: [map]
+   and [map2] call a closure per element, which boxes every argument
+   and result.  The binary ones keep [map2]'s shape check. *)
+let zip_out a b =
+  if not (same_shape a b) then invalid_arg "Tensor.map2: shape mismatch";
+  Array.make (Array.length a.data) 0.
+
+let add a b =
+  let out = zip_out a b in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (Array.unsafe_get a.data i +. Array.unsafe_get b.data i)
+  done;
+  { shape = a.shape; data = out }
+
+let sub a b =
+  let out = zip_out a b in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (Array.unsafe_get a.data i -. Array.unsafe_get b.data i)
+  done;
+  { shape = a.shape; data = out }
+
+let mul a b =
+  let out = zip_out a b in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (Array.unsafe_get a.data i *. Array.unsafe_get b.data i)
+  done;
+  { shape = a.shape; data = out }
+
 let div a b = map2 ( /. ) a b
 let neg t = map (fun x -> -.x) t
-let scale s t = map (fun x -> s *. x) t
+
+let scale s t =
+  let out = Array.make (Array.length t.data) 0. in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (s *. Array.unsafe_get t.data i)
+  done;
+  { shape = t.shape; data = out }
+
 let add_scalar s t = map (fun x -> s +. x) t
-let relu t = map (fun x -> if x > 0. then x else 0.) t
+
+let leaky_relu slope t =
+  let out = Array.make (Array.length t.data) 0. in
+  for i = 0 to Array.length out - 1 do
+    let x = Array.unsafe_get t.data i in
+    Array.unsafe_set out i (if x > 0. then x else slope *. x)
+  done;
+  { shape = t.shape; data = out }
+
+let relu t =
+  let out = Array.make (Array.length t.data) 0. in
+  for i = 0 to Array.length out - 1 do
+    let x = Array.unsafe_get t.data i in
+    if x > 0. then Array.unsafe_set out i x
+  done;
+  { shape = t.shape; data = out }
+
+let leaky_relu_backward slope ~input g =
+  let out = zip_out g input in
+  for i = 0 to Array.length out - 1 do
+    let gv = Array.unsafe_get g.data i in
+    Array.unsafe_set out i
+      (if Array.unsafe_get input.data i > 0. then gv else slope *. gv)
+  done;
+  { shape = g.shape; data = out }
+
+let relu_backward ~input g =
+  let out = zip_out g input in
+  for i = 0 to Array.length out - 1 do
+    if Array.unsafe_get input.data i > 0. then
+      Array.unsafe_set out i (Array.unsafe_get g.data i)
+  done;
+  { shape = g.shape; data = out }
 let sigmoid t = map (fun x -> 1. /. (1. +. exp (-.x))) t
 let tanh_ t = map tanh t
 let exp_ t = map exp t
@@ -215,15 +275,15 @@ let dot a b =
 let frobenius t = sqrt (dot t t)
 
 (* ------------------------------------------------------------------ *)
-(* Packed GEMM engine.                                                 *)
+(* Packed GEMM engine (the kernel behind [matmul]).                    *)
 (*                                                                     *)
 (* C (m x n) += A (m x k) . B (k x n), with B pre-packed into quads of *)
 (* four columns so the register-tiled micro-kernel streams it with     *)
 (* unit stride.  Bit-exactness contract: for every output element the  *)
 (* inner index [p] is accumulated in strictly ascending order in one   *)
 (* continuous left-to-right chain, which is exactly the order of the   *)
-(* direct reference loops — so the GEMM path, the direct path, and     *)
-(* any row-banding across domains all produce identical bits.         *)
+(* naive triple loop — so any row-banding across domains produces      *)
+(* identical bits.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Packed layout of a (k x n) B: full quads first — quad q holds        *)
@@ -260,7 +320,7 @@ let pack_row ~k ~n pb p src src_off =
 (* still sums its p-terms in ascending order starting from C's current  *)
 (* value, preserving the reference bit pattern.  The 4k-float quad      *)
 (* block stays L1-resident across the band's rows. *)
-let gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1 =
+let gemm_band ~k ~n ad pb out i0 i1 =
   let nq = n lsr 2 in
   let r = n - (nq lsl 2) in
   let k4 = k lsl 2 in
@@ -268,8 +328,8 @@ let gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1 =
     let base = q * k4 in
     let jcol = q lsl 2 in
     for i = i0 to i1 - 1 do
-      let arow = aoff + (i * k) in
-      let orow = coff + (i * n) + jcol in
+      let arow = i * k in
+      let orow = (i * n) + jcol in
       let acc0 = ref (Array.unsafe_get out orow) in
       let acc1 = ref (Array.unsafe_get out (orow + 1)) in
       let acc2 = ref (Array.unsafe_get out (orow + 2)) in
@@ -292,8 +352,8 @@ let gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1 =
     let base = nq * k4 in
     let jcol = nq lsl 2 in
     for i = i0 to i1 - 1 do
-      let arow = aoff + (i * k) in
-      let orow = coff + (i * n) + jcol in
+      let arow = i * k in
+      let orow = (i * n) + jcol in
       for t = 0 to r - 1 do
         let acc = ref (Array.unsafe_get out (orow + t)) in
         for p = 0 to k - 1 do
@@ -307,18 +367,17 @@ let gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1 =
     done
   end
 
-(* [out] must hold the addend (usually zeros).  A starts at [aoff] in   *)
-(* [ad] and C at [coff] in [out], so a kernel can read one sample of a  *)
-(* batch and write another in place.  Row banding never changes result  *)
-(* bits, so the parallel split is free to follow the machine. *)
-let gemm ?(par_macs = matmul_par_macs) ?(aoff = 0) ?(coff = 0) ~m ~k ~n ad pb out =
+(* [out] must hold the addend (usually zeros).  Row banding never
+   changes result bits, so the parallel split is free to follow the
+   machine. *)
+let gemm ~m ~k ~n ad pb out =
   if m > 0 && n > 0 && k > 0 then
-    if m * n * k < par_macs then gemm_band ~k ~n ~aoff ~coff ad pb out 0 m
+    if m * n * k < matmul_par_macs then gemm_band ~k ~n ad pb out 0 m
     else
       Pool.for_chunks
         ~chunk:(max 1 ((m + 63) / 64))
         0 m
-        (fun i0 i1 -> gemm_band ~k ~n ~aoff ~coff ad pb out i0 i1)
+        (fun i0 i1 -> gemm_band ~k ~n ad pb out i0 i1)
 
 let matmul a b =
   if rank a <> 2 || rank b <> 2 then invalid_arg "Tensor.matmul: rank-2 only";
@@ -370,42 +429,35 @@ let matvec a x =
 (* ------------------------------------------------------------------ *)
 (* Convolution kernels.                                                *)
 (*                                                                     *)
-(* Each kernel has two bit-identical implementations: a direct loop    *)
-(* nest (the reference, kept for tiny shapes and for property tests)   *)
-(* and an im2col/GEMM lowering onto the packed micro-kernel above.     *)
-(* The lowering is bit-exact because for every output element the      *)
-(* im2col inner index enumerates contributions in exactly the order    *)
-(* the direct loops visit them, and the zeros it substitutes for       *)
-(* padding (or for skipped zero coefficients) are exact no-ops:        *)
-(* adding +/-0. never changes a finite float's bits.                   *)
+(* One pack-free direct kernel per op: forward, backward-input,         *)
+(* backward-weight and transposed.  Each copies its sample once into a  *)
+(* zero-padded Workspace buffer and runs a register tile over it; a     *)
+(* table of per-row offsets into that buffer stands in for an im2col    *)
+(* matrix, so nothing is packed.  Bit-exactness contract: every output  *)
+(* element is one left-to-right chain that starts at +0. and adds its   *)
+(* terms in the reference order                                         *)
+(*   forward          (c, ky, kx) ascending                             *)
+(*   backward-input   (o, ky, kx) ascending                             *)
+(*   backward-weight  (oy, ox) ascending                                *)
+(*   transposed       c, then iy, then ix ascending                     *)
+(* with the bias, if any, added last.  Padding, stride holes and zero   *)
+(* weights contribute w.0 or 0.x = +/-0.; a chain that starts at +0.    *)
+(* never becomes -0., and adding +/-0. leaves any other finite value    *)
+(* as it is, so the kernels give the bits of the naive loop nests that  *)
+(* skip those terms.  The tiles never depend on the job count: a lone   *)
+(* sample above [conv_par_macs] spreads its channel pairs over the      *)
+(* pool, and which domain runs a pair changes no bit.                   *)
 (* ------------------------------------------------------------------ *)
-
-type conv_engine = [ `Auto | `Direct | `Gemm ]
 
 let check_rank3 name t =
   if rank t <> 3 then invalid_arg (name ^ ": expected a rank-3 tensor")
 
-let gemm_selected (engine : conv_engine) macs =
-  match engine with
-  | `Gemm -> true
-  | `Direct -> false
-  | `Auto -> macs >= conv_gemm_min_macs
+(* Output size of a convolution, or of a transposed one. *)
+let conv_out ~stride ~pad ~k n = ((n + (2 * pad) - k) / stride) + 1
+let conv_transpose_out ~stride ~pad ~k n = ((n - 1) * stride) - (2 * pad) + k
 
-(* For the two kernels whose im2col walks *input-pixel* geometry
-   (backward_input, transpose), a stride of s leaves only 1/s^2 of the
-   column entries structurally nonzero: the GEMM grinds through the
-   zeros while the direct loop never visits them.  [`Auto] therefore
-   keeps dilated shapes on the direct path; [`Gemm] still honours an
-   explicit request (it is bit-identical, just slower). *)
-let gemm_selected_dilated (engine : conv_engine) ~stride macs =
-  match engine with
-  | `Gemm -> true
-  | `Direct -> false
-  | `Auto -> stride = 1 && macs >= conv_gemm_min_macs
-
-(* Bias goes in after the full contraction, matching the direct paths
-   (which also add it last, once per output channel). *)
-let add_channel_bias ?(off = 0) out ~n bias =
+(* Bias goes in after the full contraction, once per output channel. *)
+let add_channel_bias ~off out ~n bias =
   match bias with
   | None -> ()
   | Some b ->
@@ -413,488 +465,412 @@ let add_channel_bias ?(off = 0) out ~n bias =
         let bv = Array.unsafe_get b.data o in
         let base = off + (o * n) in
         for i = 0 to n - 1 do
-          Array.unsafe_set out (base + i)
-            (Array.unsafe_get out (base + i) +. bv)
+          Array.unsafe_set out (base + i) (Array.unsafe_get out (base + i) +. bv)
         done
       done
 
-(* One im2col scan line at stride 1: destination index [j] reads source
-   index [j + shift], so the line is a zero prefix, one contiguous
-   blit, and a zero suffix — no per-element bounds tests. *)
-let fill_line_s1 row pos src srow ~shift ~len_src ~len_dst =
-  let lo = min len_dst (max 0 (-shift)) in
-  let hi = min (len_dst - 1) (len_src - 1 - shift) in
-  if hi >= lo then begin
-    if lo > 0 then Array.fill row pos lo 0.;
-    Array.blit src (srow + lo + shift) row (pos + lo) (hi - lo + 1);
-    if hi < len_dst - 1 then Array.fill row (pos + hi + 1) (len_dst - 1 - hi) 0.
+(* Zero-padded copy of a [c x h x w] sample at [soff]: element (y, x)
+   of each plane lands at row [top + y*ystep] and column [left +
+   x*xstep] of an [hp x wp] plane of [dst].  A step above 1 leaves zero
+   holes between the copied elements, a negative [xstep] mirrors the
+   rows, and elements that fall off the plane are dropped.  [slack]
+   zeros follow the last plane for the tiles' overhanging reads. *)
+let pad_planes ~c ~h ~w ~hp ~wp ~top ~left ~ystep ~xstep ~slack src soff dst =
+  Array.fill dst 0 ((c * hp * wp) + slack) 0.;
+  (* the last [x] whose column lies inside the plane *)
+  let x_hi =
+    min (w - 1) (if xstep > 0 then (wp - 1 - left) / xstep else left / -xstep)
+  in
+  for ch = 0 to c - 1 do
+    for y = 0 to h - 1 do
+      let ty = top + (y * ystep) in
+      if ty < hp then begin
+        let s = soff + (((ch * h) + y) * w) in
+        let d = (((ch * hp) + ty) * wp) + left in
+        if xstep = 1 then Array.blit src s dst d (x_hi + 1)
+        else
+          for x = 0 to x_hi do
+            Array.unsafe_set dst (d + (x * xstep)) (Array.unsafe_get src (s + x))
+          done
+      end
+    done
+  done
+
+(* Channels [2p] and [2p+1] for each pair [p]; an odd channel count ends
+   with the last channel paired with itself.  A lone sample above
+   [conv_par_macs] spreads the pairs over the pool. *)
+let for_pairs n macs f =
+  let pair p = f (2 * p) (min ((2 * p) + 1) (n - 1)) in
+  let pairs = (n + 1) / 2 in
+  if macs < conv_par_macs then
+    for p = 0 to pairs - 1 do
+      pair p
+    done
+  else Pool.parallel_for ~chunk:1 0 pairs pair
+
+(* The 2 x 4 register tile of the forward, backward-input and
+   transposed kernels.  The terms come in [rows] rows of [kw]: row [q]
+   reads [src] from [i = base + off.(o0 + q)], its term [kx] at [i + kx
+   + j*ps] for pixel j = 0..3, against weight [kw*q + kx] of two rows
+   of [wd] starting at [wa] and [wb].  Eight independent chains each
+   sum their terms in (q, kx) order from +0.  With kw = 3 at pixel step
+   1 a row is a sliding window: six input loads feed 24 MACs.  The
+   first [nv] pixels are stored at [oa + j*os] and [ob + j*os] ([wb =
+   wa] and [ob = oa] for an unpaired channel); the others read slack
+   and are dropped. *)
+let tile_2x4 ~rows ~kw ~ps ~os off o0 wd wa wb src base out oa ob nv =
+  let a0 = ref 0. in
+  let a1 = ref 0. in
+  let a2 = ref 0. in
+  let a3 = ref 0. in
+  let b0 = ref 0. in
+  let b1 = ref 0. in
+  let b2 = ref 0. in
+  let b3 = ref 0. in
+  let ps2 = 2 * ps and ps3 = 3 * ps in
+  for q = 0 to rows - 1 do
+    let i = base + Array.unsafe_get off (o0 + q) in
+    let wqa = wa + (q * kw) and wqb = wb + (q * kw) in
+    if kw = 3 && ps = 1 then begin
+      let x0 = Array.unsafe_get src i in
+      let x1 = Array.unsafe_get src (i + 1) in
+      let x2 = Array.unsafe_get src (i + 2) in
+      let x3 = Array.unsafe_get src (i + 3) in
+      let va = Array.unsafe_get wd wqa and vb = Array.unsafe_get wd wqb in
+      a0 := !a0 +. (va *. x0);
+      a1 := !a1 +. (va *. x1);
+      a2 := !a2 +. (va *. x2);
+      a3 := !a3 +. (va *. x3);
+      b0 := !b0 +. (vb *. x0);
+      b1 := !b1 +. (vb *. x1);
+      b2 := !b2 +. (vb *. x2);
+      b3 := !b3 +. (vb *. x3);
+      let x4 = Array.unsafe_get src (i + 4) in
+      let va = Array.unsafe_get wd (wqa + 1) and vb = Array.unsafe_get wd (wqb + 1) in
+      a0 := !a0 +. (va *. x1);
+      a1 := !a1 +. (va *. x2);
+      a2 := !a2 +. (va *. x3);
+      a3 := !a3 +. (va *. x4);
+      b0 := !b0 +. (vb *. x1);
+      b1 := !b1 +. (vb *. x2);
+      b2 := !b2 +. (vb *. x3);
+      b3 := !b3 +. (vb *. x4);
+      let x5 = Array.unsafe_get src (i + 5) in
+      let va = Array.unsafe_get wd (wqa + 2) and vb = Array.unsafe_get wd (wqb + 2) in
+      a0 := !a0 +. (va *. x2);
+      a1 := !a1 +. (va *. x3);
+      a2 := !a2 +. (va *. x4);
+      a3 := !a3 +. (va *. x5);
+      b0 := !b0 +. (vb *. x2);
+      b1 := !b1 +. (vb *. x3);
+      b2 := !b2 +. (vb *. x4);
+      b3 := !b3 +. (vb *. x5)
+    end
+    else
+      for kx = 0 to kw - 1 do
+        let e = i + kx in
+        let x0 = Array.unsafe_get src e in
+        let x1 = Array.unsafe_get src (e + ps) in
+        let x2 = Array.unsafe_get src (e + ps2) in
+        let x3 = Array.unsafe_get src (e + ps3) in
+        let va = Array.unsafe_get wd (wqa + kx) and vb = Array.unsafe_get wd (wqb + kx) in
+        a0 := !a0 +. (va *. x0);
+        a1 := !a1 +. (va *. x1);
+        a2 := !a2 +. (va *. x2);
+        a3 := !a3 +. (va *. x3);
+        b0 := !b0 +. (vb *. x0);
+        b1 := !b1 +. (vb *. x1);
+        b2 := !b2 +. (vb *. x2);
+        b3 := !b3 +. (vb *. x3)
+      done
+  done;
+  Array.unsafe_set out oa !a0;
+  Array.unsafe_set out ob !b0;
+  if nv > 1 then begin
+    Array.unsafe_set out (oa + os) !a1;
+    Array.unsafe_set out (ob + os) !b1
+  end;
+  if nv > 2 then begin
+    Array.unsafe_set out (oa + (2 * os)) !a2;
+    Array.unsafe_set out (ob + (2 * os)) !b2
+  end;
+  if nv > 3 then begin
+    Array.unsafe_set out (oa + (3 * os)) !a3;
+    Array.unsafe_set out (ob + (3 * os)) !b3
   end
-  else Array.fill row pos len_dst 0.
 
 (* Every kernel below reads its sample at an offset into a source array
    ([xoff], [goff]) and writes its result at an offset into a
-   zero-initialized destination ([ooff], [ioff]), so the batched kernels
-   run one sample of a batch in place, without copying it out. *)
+   zero-initialized destination ([ooff], [ioff], [woff]), so the batched
+   kernels run one sample of a batch in place, without copying it out. *)
 
-(* Forward lowering: A = weight as (co x ci*kh*kw) — its natural
-   layout — and B(p, (oy,ox)) = x[c, oy*s + ky - pad, ox*s + kx - pad]
-   (or 0. outside the input) for p = (c, ky, kx).  The inner index p
-   ascends exactly like the direct loop's (c, ky, kx) nest. *)
-let conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd bias out
-    ooff =
-  let kdim = ci * kh * kw in
-  let ncol = oh * ow in
-  Workspace.with_floats (kdim * ncol) (fun pb ->
-      Workspace.with_floats ncol (fun row ->
-          for p = 0 to kdim - 1 do
-            let c = p / (kh * kw) in
-            let rem = p mod (kh * kw) in
-            let ky = rem / kw and kx = rem mod kw in
-            let xbase = xoff + (c * h * w) in
-            let pos = ref 0 in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy < 0 || iy >= h then begin
-                Array.fill row !pos ow 0.;
-                pos := !pos + ow
-              end
-              else begin
-                let xrow = xbase + (iy * w) in
-                if stride = 1 then begin
-                  fill_line_s1 row !pos xd xrow ~shift:(kx - pad) ~len_src:w
-                    ~len_dst:ow;
-                  pos := !pos + ow
-                end
-                else
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    Array.unsafe_set row !pos
-                      (if ix >= 0 && ix < w then Array.unsafe_get xd (xrow + ix)
-                       else 0.);
-                    incr pos
-                  done
-              end
-            done;
-            pack_row ~k:kdim ~n:ncol pb p row 0
-          done);
-      gemm ~par_macs:conv_par_macs ~coff:ooff ~m:co ~k:kdim ~n:ncol wd pb out);
-  add_channel_bias ~off:ooff out ~n:ncol bias
-
-(* Input-gradient lowering.  A plain col2im scatter would re-associate
-   the sums, so instead the gradient is computed as a second GEMM over
-   *input* pixels: A2[c, (o,ky,kx)] = w[o,c,ky,kx] and
-   B2[(o,ky,kx), (iy,ix)] = gout[o, (iy+pad-ky)/s, (ix+pad-kx)/s] when
-   that division is exact and in range, else 0.  For a fixed input
-   pixel the direct path accumulates over (o, ky, kx) ascending — the
-   same order p ascends here. *)
-let conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    goff wd gin ioff =
-  let kdim = co * kh * kw in
-  let ncol = h * w in
-  Workspace.with_floats (ci * kdim) (fun a2 ->
-      for c = 0 to ci - 1 do
-        let abase = c * kdim in
-        for o = 0 to co - 1 do
-          let wbase = ((o * ci) + c) * kh * kw in
-          let dst = abase + (o * kh * kw) in
-          for t = 0 to (kh * kw) - 1 do
-            Array.unsafe_set a2 (dst + t) (Array.unsafe_get wd (wbase + t))
-          done
-        done
-      done;
-      Workspace.with_floats (kdim * ncol) (fun pb ->
-          Workspace.with_floats ncol (fun row ->
-              for p = 0 to kdim - 1 do
-                let o = p / (kh * kw) in
-                let rem = p mod (kh * kw) in
-                let ky = rem / kw and kx = rem mod kw in
-                let gbase = goff + (o * oh * ow) in
-                let pos = ref 0 in
-                for iy = 0 to h - 1 do
-                  let ty = iy + pad - ky in
-                  let oy = ty / stride in
-                  if ty >= 0 && ty mod stride = 0 && oy < oh then begin
-                    let grow = gbase + (oy * ow) in
-                    if stride = 1 then begin
-                      fill_line_s1 row !pos gd grow ~shift:(pad - kx)
-                        ~len_src:ow ~len_dst:w;
-                      pos := !pos + w
-                    end
-                    else
-                      for ix = 0 to w - 1 do
-                        let tx = ix + pad - kx in
-                        let ox = tx / stride in
-                        Array.unsafe_set row !pos
-                          (if tx >= 0 && tx mod stride = 0 && ox < ow then
-                             Array.unsafe_get gd (grow + ox)
-                           else 0.);
-                        incr pos
-                      done
-                  end
-                  else begin
-                    Array.fill row !pos w 0.;
-                    pos := !pos + w
-                  end
-                done;
-                pack_row ~k:kdim ~n:ncol pb p row 0
-              done);
-          gemm ~par_macs:conv_par_macs ~coff:ioff ~m:ci ~k:kdim ~n:ncol a2 pb gin))
-
-(* Weight-gradient lowering: A = gout as (co x oh*ow) — its natural
-   layout — and B[(oy,ox), (c,ky,kx)] = x[c, oy*s+ky-pad, ox*s+kx-pad]
-   or 0.  The direct path reduces each weight cell over (oy, ox)
-   ascending, which is exactly how p ascends here. *)
-let conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-    goff xd xoff gw woff =
-  let kdim = oh * ow in
-  let ncol = ci * kh * kw in
-  Workspace.with_floats (kdim * ncol) (fun pb ->
-      Workspace.with_floats ncol (fun row ->
-          for p = 0 to kdim - 1 do
-            let oy = p / ow and ox = p mod ow in
-            let pos = ref 0 in
-            for c = 0 to ci - 1 do
-              let xbase = xoff + (c * h * w) in
-              for ky = 0 to kh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy < 0 || iy >= h then begin
-                  Array.fill row !pos kw 0.;
-                  pos := !pos + kw
-                end
-                else begin
-                  let xrow = xbase + (iy * w) in
-                  for kx = 0 to kw - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    Array.unsafe_set row !pos
-                      (if ix >= 0 && ix < w then Array.unsafe_get xd (xrow + ix)
-                       else 0.);
-                    incr pos
-                  done
-                end
-              done
-            done;
-            pack_row ~k:kdim ~n:ncol pb p row 0
-          done);
-      gemm ~par_macs:conv_par_macs ~aoff:goff ~coff:woff ~m:co ~k:kdim ~n:ncol gd
-        pb gw)
-
-(* Transpose lowering: a transposed convolution is a stride-dilated
-   correlation with the kernel flipped, so A3[o, (c,qy,qx)] =
-   w[c, o, kh-1-qy, kw-1-qx] and B3[(c,qy,qx), (oy,ox)] = x[c, iy, ix]
-   where iy = (oy + pad - (kh-1-qy)) / s when exact and in range, else
-   0.  Flipping inside A3 makes p = (c, qy, qx) ascend in the same
-   order the direct scatter visits contributions for a fixed output
-   pixel: c ascending, then iy, then ix. *)
-let conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd
-    bias out ooff =
-  let kdim = ci * kh * kw in
-  let ncol = oh * ow in
-  Workspace.with_floats (co * kdim) (fun a3 ->
-      for o = 0 to co - 1 do
-        let abase = o * kdim in
-        for c = 0 to ci - 1 do
-          let wbase = ((c * co) + o) * kh * kw in
-          let dst = abase + (c * kh * kw) in
-          for qy = 0 to kh - 1 do
-            let wrow = wbase + ((kh - 1 - qy) * kw) in
-            let drow = dst + (qy * kw) in
-            for qx = 0 to kw - 1 do
-              Array.unsafe_set a3 (drow + qx)
-                (Array.unsafe_get wd (wrow + (kw - 1 - qx)))
-            done
-          done
-        done
-      done;
-      Workspace.with_floats (kdim * ncol) (fun pb ->
-          Workspace.with_floats ncol (fun row ->
-              for p = 0 to kdim - 1 do
-                let c = p / (kh * kw) in
-                let rem = p mod (kh * kw) in
-                let qy = rem / kw and qx = rem mod kw in
-                let ky = kh - 1 - qy and kx = kw - 1 - qx in
-                let xbase = xoff + (c * h * w) in
-                let pos = ref 0 in
-                for oy = 0 to oh - 1 do
-                  let ty = oy + pad - ky in
-                  let iy = ty / stride in
-                  if ty >= 0 && ty mod stride = 0 && iy < h then begin
-                    let xrow = xbase + (iy * w) in
-                    for ox = 0 to ow - 1 do
-                      let tx = ox + pad - kx in
-                      let ix = tx / stride in
-                      Array.unsafe_set row !pos
-                        (if tx >= 0 && tx mod stride = 0 && ix < w then
-                           Array.unsafe_get xd (xrow + ix)
-                         else 0.);
-                      incr pos
-                    done
-                  end
-                  else begin
-                    Array.fill row !pos ow 0.;
-                    pos := !pos + ow
-                  end
-                done;
-                pack_row ~k:kdim ~n:ncol pb p row 0
-              done);
-          gemm ~par_macs:conv_par_macs ~coff:ooff ~m:co ~k:kdim ~n:ncol a3 pb out));
-  add_channel_bias ~off:ooff out ~n:ncol bias
-
-(* Output size of a convolution, or of a transposed one. *)
-let conv_out ~stride ~pad ~k n = ((n + (2 * pad) - k) / stride) + 1
-let conv_transpose_out ~stride ~pad ~k n = ((n - 1) * stride) - (2 * pad) + k
-
-let conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw xd xoff wd bias out
-    ooff =
+(* Forward: out[o, oy, ox] sums w[o, c, ky, kx] . xp[c, oy*s + ky,
+   ox*s + kx] over (c, ky, kx) ascending, where xp is the sample padded
+   by [pad]; a tile row is one (c, ky), and the weight rows are [wd]'s
+   natural layout.  A tile is two output channels by four pixels of one
+   output row. *)
+let conv2d_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw xd xoff wd bias out ooff =
   let oh = conv_out ~stride ~pad ~k:kh h and ow = conv_out ~stride ~pad ~k:kw w in
-  if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    conv2d_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd bias out
-      ooff
-  else begin
-    (* each output channel writes only its own [out] slice, so channels
-       distribute freely across domains without changing any result bit *)
-    let per_out_channel o =
-      let wbase_o = o * ci * kh * kw in
-      let obase_o = ooff + (o * oh * ow) in
-      for c = 0 to ci - 1 do
-        let wbase = wbase_o + (c * kh * kw) in
-        let xbase = xoff + (c * h * w) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
-            if wv <> 0. then
+  let hp = h + (2 * pad) and wp = w + (2 * pad) in
+  let kdim = ci * kh * kw and ohw = oh * ow in
+  let slack = 3 * stride in
+  Workspace.with_floats ((ci * hp * wp) + slack) (fun xp ->
+      pad_planes ~c:ci ~h ~w ~hp ~wp ~top:pad ~left:pad ~ystep:1 ~xstep:1 ~slack
+        xd xoff xp;
+      Workspace.with_ints (ci * kh) (fun off ->
+          for q = 0 to (ci * kh) - 1 do
+            off.(q) <- (q / kh * hp * wp) + (q mod kh * wp)
+          done;
+          for_pairs co (co * kdim * ohw) (fun o0 o1 ->
               for oy = 0 to oh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then begin
-                  let orow = obase_o + (oy * ow) in
-                  let xrow = xbase + (iy * w) in
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      Array.unsafe_set out (orow + ox)
-                        (Array.unsafe_get out (orow + ox)
-                        +. (wv *. Array.unsafe_get xd (xrow + ix)))
-                  done
-                end
-              done
-          done
-        done
-      done;
-      match bias with
-      | Some b ->
-          let bv = b.data.(o) in
-          for i = 0 to (oh * ow) - 1 do
-            Array.unsafe_set out (obase_o + i)
-              (Array.unsafe_get out (obase_o + i) +. bv)
-          done
-      | None -> ()
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel
-  end
-
-let conv2d ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
-  check_rank3 "Tensor.conv2d" x;
-  if rank weight <> 4 then invalid_arg "Tensor.conv2d: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  let co = weight.shape.(0) in
-  if weight.shape.(1) <> ci then
-    invalid_arg "Tensor.conv2d: channel mismatch between input and weight";
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = conv_out ~stride ~pad ~k:kh h and ow = conv_out ~stride ~pad ~k:kw w in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d: empty output";
-  let out = Array.make (co * oh * ow) 0. in
-  conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data 0 weight.data
-    bias out 0;
-  make [| co; oh; ow |] out
-
-let conv2d_backward_input_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh
-    ~ow gd goff wd gin ioff =
-  if
-    stride >= 1
-    && gemm_selected_dilated engine ~stride (co * ci * kh * kw * oh * ow)
-  then
-    conv2d_backward_input_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-      goff wd gin ioff
-  else begin
-    (* input channels own disjoint [gin] slices; within a channel the
-       output channels accumulate in ascending order, a fixed reduction
-       order at any job count *)
-    let per_in_channel c =
-      let ibase = ioff + (c * h * w) in
-      for o = 0 to co - 1 do
-        let wbase = ((o * ci) + c) * kh * kw in
-        let gbase_o = goff + (o * oh * ow) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let wv = Array.unsafe_get wd (wbase + (ky * kw) + kx) in
-            if wv <> 0. then
-              for oy = 0 to oh - 1 do
-                let iy = (oy * stride) + ky - pad in
-                if iy >= 0 && iy < h then begin
-                  let grow = gbase_o + (oy * ow) in
-                  let irow = ibase + (iy * w) in
-                  for ox = 0 to ow - 1 do
-                    let ix = (ox * stride) + kx - pad in
-                    if ix >= 0 && ix < w then
-                      Array.unsafe_set gin (irow + ix)
-                        (Array.unsafe_get gin (irow + ix)
-                        +. (wv *. Array.unsafe_get gd (grow + ox)))
-                  done
-                end
-              done
-          done
-        done
-      done
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for c = 0 to ci - 1 do
-        per_in_channel c
-      done
-    else Pool.parallel_for ~chunk:1 0 ci per_in_channel
-  end
-
-let conv2d_backward_input ?(stride = 1) ?(pad = 0) ?(engine = `Auto)
-    ~input_shape ~weight gout =
-  check_rank3 "Tensor.conv2d_backward_input" gout;
-  let ci = input_shape.(0) and h = input_shape.(1) and w = input_shape.(2) in
-  let co = weight.shape.(0) in
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  let gin = Array.make (ci * h * w) 0. in
-  conv2d_backward_input_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-    gout.data 0 weight.data gin 0;
-  make input_shape gin
-
-let conv2d_backward_weight_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh
-    ~ow gd goff xd xoff gw woff =
-  if stride >= 1 && gemm_selected engine (co * ci * kh * kw * oh * ow) then
-    conv2d_backward_weight_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
-      goff xd xoff gw woff
-  else begin
-    let per_out_channel o =
-      let gbase_o = goff + (o * oh * ow) in
-      let wbase_o = woff + (o * ci * kh * kw) in
-      for c = 0 to ci - 1 do
-        let xbase = xoff + (c * h * w) in
-        let wbase = wbase_o + (c * kh * kw) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let acc = ref 0. in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * stride) + ky - pad in
-              if iy >= 0 && iy < h then begin
-                let grow = gbase_o + (oy * ow) in
-                let xrow = xbase + (iy * w) in
-                for ox = 0 to ow - 1 do
-                  let ix = (ox * stride) + kx - pad in
-                  if ix >= 0 && ix < w then
-                    acc :=
-                      !acc
-                      +. Array.unsafe_get gd (grow + ox)
-                         *. Array.unsafe_get xd (xrow + ix)
+                for t = 0 to ((ow + 3) / 4) - 1 do
+                  let ox = 4 * t in
+                  let o = ooff + (oy * ow) + ox in
+                  tile_2x4 ~rows:(ci * kh) ~kw ~ps:stride ~os:1 off 0 wd
+                    (o0 * kdim) (o1 * kdim) xp
+                    (((oy * wp) + ox) * stride)
+                    out
+                    (o + (o0 * ohw))
+                    (o + (o1 * ohw))
+                    (min 4 (ow - ox))
                 done
-              end
-            done;
-            gw.(wbase + (ky * kw) + kx) <- !acc
-          done
-        done
-      done
-    in
-    if co * ci * kh * kw * oh * ow < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel
+              done)));
+  add_channel_bias ~off:ooff out ~n:ohw bias
+
+(* Backward-input: gin[c, iy, ix] sums w[o, c, ky, kx] . G[o, iy + pad -
+   ky, ix + pad - kx] over (o, ky, kx) ascending, where G is gout with
+   (s-1) zero rows and columns stuffed between its entries and a zero
+   border.  The kernel read runs flipped, so G's rows are stored
+   mirrored: then term kx of mirrored input column m = w-1-ix sits at
+   m + kx, and a tile row is one (o, ky), read forwards.  The weights
+   are regrouped into rows per input channel; a tile is two input
+   channels by four pixels of one input row, stored right to left. *)
+let conv2d_backward_input_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+    goff wd gin ioff =
+  let kk = kh * kw in
+  let kdim = co * kk and hw = h * w in
+  (* G's row t sits at buffer row [my + t], for t in [pad - kh + 1, h + pad) *)
+  let my = max 0 (kh - 1 - pad) and mx = max 0 (kw - 1 - pad) in
+  let hb = my + h + pad and wb = mx + w + pad in
+  Workspace.with_floats ((co * hb * wb) + 3) (fun gp ->
+      pad_planes ~c:co ~h:oh ~w:ow ~hp:hb ~wp:wb ~top:my ~left:(wb - 1 - mx)
+        ~ystep:stride ~xstep:(-stride) ~slack:3 gd goff gp;
+      Workspace.with_floats (ci * kdim) (fun wt ->
+          Workspace.with_ints (co * kh) (fun off ->
+              for q = 0 to (co * kh) - 1 do
+                off.(q) <- (q / kh * hb * wb) - (q mod kh * wb)
+              done;
+              for r = 0 to kdim - 1 do
+                for c = 0 to ci - 1 do
+                  wt.((c * kdim) + r) <- wd.((((r / kk * ci) + c) * kk) + (r mod kk))
+                done
+              done;
+              for_pairs ci (kdim * ci * oh * ow) (fun c0 c1 ->
+                  for iy = 0 to h - 1 do
+                    for t = 0 to ((w + 3) / 4) - 1 do
+                      let m = 4 * t in
+                      let i = ioff + (iy * w) + (w - 1 - m) in
+                      tile_2x4 ~rows:(co * kh) ~kw ~ps:1 ~os:(-1) off 0 wt
+                        (c0 * kdim) (c1 * kdim) gp
+                        (((iy + pad + my) * wb) + m)
+                        gin
+                        (i + (c0 * hw))
+                        (i + (c1 * hw))
+                        (min 4 (w - m))
+                    done
+                  done))))
+
+(* Backward-weight: gw[o, c, ky, kx] sums gout[o, oy, ox] . xp[c, oy*s +
+   ky, ox*s + kx] over (oy, ox) ascending, one chain per weight, for two
+   output channels at a time.  At kw = 3 and stride 1 a tile is the
+   three kx of one kernel row (c, ky), sliding along the input row: each
+   pixel loads one new input and two gradients for six MACs.  Otherwise
+   a tile is four consecutive weights r = (c, ky, kx) at buffer offsets
+   [d0] .. [d3]; past the last weight it repeats that one and drops the
+   result. *)
+let wtile_2x3 ~wp ~oh ~ow gd ga gb xp d gw wa wb =
+  let a0 = ref 0. in
+  let a1 = ref 0. in
+  let a2 = ref 0. in
+  let b0 = ref 0. in
+  let b1 = ref 0. in
+  let b2 = ref 0. in
+  for oy = 0 to oh - 1 do
+    let g = oy * ow and xr = d + (oy * wp) in
+    let x1 = ref (Array.unsafe_get xp xr) in
+    let x2 = ref (Array.unsafe_get xp (xr + 1)) in
+    for ox = 0 to ow - 1 do
+      let u = Array.unsafe_get gd (ga + g + ox) in
+      let v = Array.unsafe_get gd (gb + g + ox) in
+      let x0 = !x1 and x1' = !x2 in
+      let x2' = Array.unsafe_get xp (xr + ox + 2) in
+      a0 := !a0 +. (u *. x0);
+      a1 := !a1 +. (u *. x1');
+      a2 := !a2 +. (u *. x2');
+      b0 := !b0 +. (v *. x0);
+      b1 := !b1 +. (v *. x1');
+      b2 := !b2 +. (v *. x2');
+      x1 := x1';
+      x2 := x2'
+    done
+  done;
+  Array.unsafe_set gw wa !a0;
+  Array.unsafe_set gw (wa + 1) !a1;
+  Array.unsafe_set gw (wa + 2) !a2;
+  Array.unsafe_set gw wb !b0;
+  Array.unsafe_set gw (wb + 1) !b1;
+  Array.unsafe_set gw (wb + 2) !b2
+
+let wtile_2x4 ~stride ~wp ~oh ~ow gd ga gb xp d0 d1 d2 d3 gw wa wb nv =
+  let a0 = ref 0. in
+  let a1 = ref 0. in
+  let a2 = ref 0. in
+  let a3 = ref 0. in
+  let b0 = ref 0. in
+  let b1 = ref 0. in
+  let b2 = ref 0. in
+  let b3 = ref 0. in
+  for oy = 0 to oh - 1 do
+    let g = oy * ow in
+    let p = ref (oy * stride * wp) in
+    for ox = 0 to ow - 1 do
+      let u = Array.unsafe_get gd (ga + g + ox) in
+      let v = Array.unsafe_get gd (gb + g + ox) in
+      let x0 = Array.unsafe_get xp (!p + d0) in
+      let x1 = Array.unsafe_get xp (!p + d1) in
+      let x2 = Array.unsafe_get xp (!p + d2) in
+      let x3 = Array.unsafe_get xp (!p + d3) in
+      a0 := !a0 +. (u *. x0);
+      a1 := !a1 +. (u *. x1);
+      a2 := !a2 +. (u *. x2);
+      a3 := !a3 +. (u *. x3);
+      b0 := !b0 +. (v *. x0);
+      b1 := !b1 +. (v *. x1);
+      b2 := !b2 +. (v *. x2);
+      b3 := !b3 +. (v *. x3);
+      p := !p + stride
+    done
+  done;
+  Array.unsafe_set gw wa !a0;
+  Array.unsafe_set gw wb !b0;
+  if nv > 1 then begin
+    Array.unsafe_set gw (wa + 1) !a1;
+    Array.unsafe_set gw (wb + 1) !b1
+  end;
+  if nv > 2 then begin
+    Array.unsafe_set gw (wa + 2) !a2;
+    Array.unsafe_set gw (wb + 2) !b2
+  end;
+  if nv > 3 then begin
+    Array.unsafe_set gw (wa + 3) !a3;
+    Array.unsafe_set gw (wb + 3) !b3
   end
 
-let conv2d_backward_weight ?(stride = 1) ?(pad = 0) ?(engine = `Auto) ~input
-    ~weight_shape gout =
-  check_rank3 "Tensor.conv2d_backward_weight" gout;
-  let ci = input.shape.(0) and h = input.shape.(1) and w = input.shape.(2) in
-  let co = weight_shape.(0) in
-  let kh = weight_shape.(2) and kw = weight_shape.(3) in
-  let oh = gout.shape.(1) and ow = gout.shape.(2) in
-  let gw = Array.make (co * ci * kh * kw) 0. in
-  conv2d_backward_weight_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
-    gout.data 0 input.data 0 gw 0;
-  make weight_shape gw
+let conv2d_backward_weight_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow gd
+    goff xd xoff gw woff =
+  let hp = h + (2 * pad) and wp = w + (2 * pad) in
+  let kdim = ci * kh * kw and ohw = oh * ow in
+  Workspace.with_floats (ci * hp * wp) (fun xp ->
+      pad_planes ~c:ci ~h ~w ~hp ~wp ~top:pad ~left:pad ~ystep:1 ~xstep:1
+        ~slack:0 xd xoff xp;
+      (* the buffer offset of weight r = (c, ky, kx) *)
+      let d r =
+        let r = min r (kdim - 1) in
+        (((r / (kh * kw) * hp) + (r / kw mod kh)) * wp) + (r mod kw)
+      in
+      for_pairs co (co * kdim * ohw) (fun o0 o1 ->
+          let ga = goff + (o0 * ohw) and gb = goff + (o1 * ohw) in
+          let wa = woff + (o0 * kdim) and wb = woff + (o1 * kdim) in
+          if kw = 3 && stride = 1 then
+            for r = 0 to (kdim / 3) - 1 do
+              wtile_2x3 ~wp ~oh ~ow gd ga gb xp (d (3 * r)) gw
+                (wa + (3 * r))
+                (wb + (3 * r))
+            done
+          else
+            for t = 0 to ((kdim + 3) / 4) - 1 do
+              let r = 4 * t in
+              wtile_2x4 ~stride ~wp ~oh ~ow gd ga gb xp (d r) (d (r + 1))
+                (d (r + 2))
+                (d (r + 3))
+                gw (wa + r) (wb + r)
+                (min 4 (kdim - r))
+            done))
 
-let conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw xd xoff wd
-    bias out ooff =
-  let oh = conv_transpose_out ~stride ~pad ~k:kh h in
-  let ow = conv_transpose_out ~stride ~pad ~k:kw w in
-  if
-    stride >= 1
-    && gemm_selected_dilated engine ~stride (ci * co * kh * kw * h * w)
-  then
-    conv2d_transpose_gemm ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow xd xoff wd
-      bias out ooff
-  else begin
-    (* output channels own disjoint [out] slices; within one, input
-       channels scatter in ascending order — a fixed accumulation order *)
-    let per_out_channel o =
-      let obase = ooff + (o * oh * ow) in
-      for c = 0 to ci - 1 do
-        let xbase = xoff + (c * h * w) in
-        let wbase = ((c * co) + o) * kh * kw in
-        for iy = 0 to h - 1 do
-          let xrow = xbase + (iy * w) in
-          for ix = 0 to w - 1 do
-            let xv = Array.unsafe_get xd (xrow + ix) in
-            if xv <> 0. then
-              for ky = 0 to kh - 1 do
-                let oy = (iy * stride) + ky - pad in
-                if oy >= 0 && oy < oh then begin
-                  let orow = obase + (oy * ow) in
-                  let wrow = wbase + (ky * kw) in
-                  for kx = 0 to kw - 1 do
-                    let ox = (ix * stride) + kx - pad in
-                    if ox >= 0 && ox < ow then
-                      Array.unsafe_set out (orow + ox)
-                        (Array.unsafe_get out (orow + ox)
-                        +. (xv *. Array.unsafe_get wd (wrow + kx)))
+(* Transposed, in gather form: output pixel (oy, ox) has phase (ry, rx)
+   = ((oy + pad) mod s, (ox + pad) mod s) and base input pixel (qy, qx) =
+   ((oy + pad) / s, (ox + pad) / s).  Its terms are x[c, qy - jy, qx -
+   jx] . w[c, o, ry + jy*s, rx + jx*s] for ry + jy*s < kh and rx + jx*s
+   < kw, taken c ascending, then jy descending (iy ascending), then jx
+   descending (ix ascending).  Each phase gets its own weight rows and
+   its own tile rows, one per (c, jy); x is padded so that input pixels
+   off the sample read zero.  A tile is two output channels by four
+   same-phase pixels of one output row (consecutive qx). *)
+let conv2d_transpose_into ~stride:s ~pad ~ci ~h ~w ~co ~kh ~kw xd xoff wd bias
+    out ooff =
+  let oh = conv_transpose_out ~stride:s ~pad ~k:kh h in
+  let ow = conv_transpose_out ~stride:s ~pad ~k:kw w in
+  let ohw = oh * ow in
+  (* taps of phase r along an axis of kernel size k *)
+  let taps k r = (k - r + s - 1) / s in
+  let ty = taps kh 0 - 1 and tx = taps kw 0 - 1 in
+  let hx = ty + max h (((oh - 1 + pad) / s) + 1) in
+  let wx = tx + max w (((ow - 1 + pad) / s) + 1) in
+  (* phase (ry, rx) owns weights [co * wbase.(ph), + co * ci * ny * nx)
+     and tile rows [qbase.(ph), + ci * ny) *)
+  let wbase = Array.make ((s * s) + 1) 0 and qbase = Array.make ((s * s) + 1) 0 in
+  for ph = 0 to (s * s) - 1 do
+    let ny = taps kh (ph / s) and nx = taps kw (ph mod s) in
+    wbase.(ph + 1) <- wbase.(ph) + (ci * ny * nx);
+    qbase.(ph + 1) <- qbase.(ph) + (ci * ny)
+  done;
+  Workspace.with_floats ((ci * hx * wx) + 3) (fun xp ->
+      pad_planes ~c:ci ~h ~w ~hp:hx ~wp:wx ~top:ty ~left:tx ~ystep:1 ~xstep:1
+        ~slack:3 xd xoff xp;
+      Workspace.with_floats (co * wbase.(s * s)) (fun wph ->
+          Workspace.with_ints qbase.(s * s) (fun off ->
+              for ph = 0 to (s * s) - 1 do
+                let ry = ph / s and rx = ph mod s in
+                let ny = taps kh ry and nx = taps kw rx in
+                let k = ci * ny * nx in
+                for q = 0 to (ci * ny) - 1 do
+                  let c = q / ny and jy = ny - 1 - (q mod ny) in
+                  off.(qbase.(ph) + q) <- (c * hx * wx) - (jy * wx) - (nx - 1);
+                  for t = 0 to nx - 1 do
+                    let jx = nx - 1 - t in
+                    let ky = ry + (jy * s) and kx = rx + (jx * s) in
+                    for o = 0 to co - 1 do
+                      wph.((co * wbase.(ph)) + (o * k) + (q * nx) + t) <-
+                        wd.((((((c * co) + o) * kh) + ky) * kw) + kx)
+                    done
                   done
-                end
-              done
-          done
-        done
-      done;
-      match bias with
-      | Some b ->
-          let bv = b.data.(o) in
-          for i = 0 to (oh * ow) - 1 do
-            Array.unsafe_set out (obase + i)
-              (Array.unsafe_get out (obase + i) +. bv)
-          done
-      | None -> ()
-    in
-    if ci * co * kh * kw * h * w < conv_par_macs then
-      for o = 0 to co - 1 do
-        per_out_channel o
-      done
-    else Pool.parallel_for ~chunk:1 0 co per_out_channel
-  end
-
-let conv2d_transpose ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight
-    ~bias =
-  check_rank3 "Tensor.conv2d_transpose" x;
-  if rank weight <> 4 then
-    invalid_arg "Tensor.conv2d_transpose: weight must be rank 4";
-  let ci = x.shape.(0) and h = x.shape.(1) and w = x.shape.(2) in
-  if weight.shape.(0) <> ci then
-    invalid_arg "Tensor.conv2d_transpose: channel mismatch";
-  let co = weight.shape.(1) in
-  let kh = weight.shape.(2) and kw = weight.shape.(3) in
-  let oh = conv_transpose_out ~stride ~pad ~k:kh h in
-  let ow = conv_transpose_out ~stride ~pad ~k:kw w in
-  if oh <= 0 || ow <= 0 then invalid_arg "Tensor.conv2d_transpose: empty output";
-  let out = Array.make (co * oh * ow) 0. in
-  conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data 0
-    weight.data bias out 0;
-  make [| co; oh; ow |] out
+                done
+              done;
+              for_pairs co (ci * co * kh * kw * h * w) (fun o0 o1 ->
+                  for oy = 0 to oh - 1 do
+                    let ry = (oy + pad) mod s and qy = (oy + pad) / s in
+                    for rx = 0 to s - 1 do
+                      let ph = (ry * s) + rx in
+                      let nx = taps kw rx and k = wbase.(ph + 1) - wbase.(ph) in
+                      let wrow o = (co * wbase.(ph)) + (o * k) in
+                      (* the first output column of phase rx *)
+                      let ox0 = (((rx - pad) mod s) + s) mod s in
+                      let cnt = if ox0 < ow then ((ow - 1 - ox0) / s) + 1 else 0 in
+                      for t = 0 to ((cnt + 3) / 4) - 1 do
+                        let o = ooff + (oy * ow) + ox0 + (4 * t * s) in
+                        tile_2x4
+                          ~rows:(qbase.(ph + 1) - qbase.(ph))
+                          ~kw:nx ~ps:1 ~os:s off qbase.(ph) wph (wrow o0)
+                          (wrow o1) xp
+                          (((qy + ty) * wx) + ((ox0 + pad) / s) + (4 * t) + tx)
+                          out
+                          (o + (o0 * ohw))
+                          (o + (o1 * ohw))
+                          (min 4 (cnt - (4 * t)))
+                      done
+                    done
+                  done))));
+  add_channel_bias ~off:ooff out ~n:ohw bias
 
 let maxpool2_chw x =
   check_rank3 "Tensor.maxpool2" x;
@@ -909,15 +885,17 @@ let maxpool2_chw x =
     let obase = ch * oh * ow in
     for oy = 0 to oh - 1 do
       for ox = 0 to ow - 1 do
+        (* the window in order (0,0) (0,1) (1,0) (1,1); the first
+           strict maximum wins ties *)
         let i0 = xbase + (2 * oy * w) + (2 * ox) in
-        let candidates = [| i0; i0 + 1; i0 + w; i0 + w + 1 |] in
-        let best = ref candidates.(0) in
-        let bestv = ref x.data.(candidates.(0)) in
+        let best = ref i0 in
+        let bestv = ref (Array.unsafe_get x.data i0) in
         for k = 1 to 3 do
-          let i = candidates.(k) in
-          if x.data.(i) > !bestv then begin
+          let i = i0 + (k land 1) + (k lsr 1 * w) in
+          let v = Array.unsafe_get x.data i in
+          if v > !bestv then begin
             best := i;
-            bestv := x.data.(i)
+            bestv := v
           end
         done;
         out.(obase + (oy * ow) + ox) <- !bestv;
@@ -990,11 +968,9 @@ let upsample_nearest2 x =
 (* inference.  Each op splits its batch into contiguous sample chunks, *)
 (* one per domain, in a single Pool region ([for_batch]); the kernels  *)
 (* inside a chunk then run inline (nested regions do), so one sample's *)
-(* conv never pays a region per GEMM.  Every sample runs the rank-3    *)
-(* kernel in place, at its offset into the batch arrays.  (Folding a   *)
-(* chunk's samples into one im2col/GEMM was measured slower: its       *)
-(* packed B grows with the batch.)  Bit-exactness with the per-sample  *)
-(* kernels therefore holds for any chunking; the weight and bias       *)
+(* conv never pays a region of its own.  Every sample runs the         *)
+(* one-sample kernel in place, at its offset into the batch arrays, so *)
+(* a result is bit-identical for any chunking; the weight and bias     *)
 (* gradients are per-sample chains summed in ascending sample order.   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1066,7 +1042,12 @@ let swap_halves t =
   make t.shape
     (Array.append (Array.sub t.data half half) (Array.sub t.data 0 half))
 
-let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
+let check_conv_geometry name ~stride ~pad =
+  if stride < 1 || pad < 0 then
+    invalid_arg (name ^ ": stride must be >= 1 and pad >= 0")
+
+let conv2d_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
+  check_conv_geometry "Tensor.conv2d_batch" ~stride ~pad;
   let n, ci, h, w = batch_geom "Tensor.conv2d_batch" x in
   if rank weight <> 4 then
     invalid_arg "Tensor.conv2d_batch: weight must be rank 4";
@@ -1080,13 +1061,13 @@ let conv2d_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x ~weight ~bias =
   let out = Array.make (n * co * ohw) 0. in
   for_batch n (n * co * ci * kh * kw * ohw) (fun b0 b1 ->
       for b = b0 to b1 - 1 do
-        conv2d_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data
-          (b * ci * h * w) weight.data bias out (b * co * ohw)
+        conv2d_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw x.data (b * ci * h * w)
+          weight.data bias out (b * co * ohw)
       done);
   make (batch_shape x n co oh ow) out
 
-let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
-    ~weight ~bias =
+let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) x ~weight ~bias =
+  check_conv_geometry "Tensor.conv2d_transpose_batch" ~stride ~pad;
   let n, ci, h, w = batch_geom "Tensor.conv2d_transpose_batch" x in
   if rank weight <> 4 then
     invalid_arg "Tensor.conv2d_transpose_batch: weight must be rank 4";
@@ -1101,13 +1082,14 @@ let conv2d_transpose_batch ?(stride = 1) ?(pad = 0) ?(engine = `Auto) x
   let out = Array.make (n * co * oh * ow) 0. in
   for_batch n (n * ci * co * kh * kw * h * w) (fun b0 b1 ->
       for b = b0 to b1 - 1 do
-        conv2d_transpose_into ~stride ~pad ~engine ~ci ~h ~w ~co ~kh ~kw x.data
+        conv2d_transpose_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw x.data
           (b * ci * h * w) weight.data bias out (b * co * oh * ow)
       done);
   make (batch_shape x n co oh ow) out
 
 let conv2d_backward_input_batch ?(stride = 1) ?(pad = 0) ~input_shape ~weight
     gout =
+  check_conv_geometry "Tensor.conv2d_backward_input_batch" ~stride ~pad;
   let n, co, oh, ow = batch_geom "Tensor.conv2d_backward_input_batch" gout in
   let ci, h, w =
     match input_shape with
@@ -1118,13 +1100,14 @@ let conv2d_backward_input_batch ?(stride = 1) ?(pad = 0) ~input_shape ~weight
   let gin = Array.make (n * ci * h * w) 0. in
   for_batch n (n * co * ci * kh * kw * oh * ow) (fun b0 b1 ->
       for b = b0 to b1 - 1 do
-        conv2d_backward_input_into ~stride ~pad ~engine:`Auto ~ci ~h ~w ~co ~kh
-          ~kw ~oh ~ow gout.data (b * co * oh * ow) weight.data gin (b * ci * h * w)
+        conv2d_backward_input_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+          gout.data (b * co * oh * ow) weight.data gin (b * ci * h * w)
       done);
   make input_shape gin
 
 let conv2d_backward_weight_batch ?(stride = 1) ?(pad = 0) ~input ~weight_shape
     gout =
+  check_conv_geometry "Tensor.conv2d_backward_weight_batch" ~stride ~pad;
   let n, ci, h, w = batch_geom "Tensor.conv2d_backward_weight_batch" input in
   let _, co, oh, ow = batch_geom "Tensor.conv2d_backward_weight_batch" gout in
   if n < 1 then invalid_arg "Tensor.conv2d_backward_weight_batch: empty batch";
@@ -1134,9 +1117,9 @@ let conv2d_backward_weight_batch ?(stride = 1) ?(pad = 0) ~input ~weight_shape
   let parts = Array.make (n * wsize) 0. in
   for_batch n (n * wsize * oh * ow) (fun b0 b1 ->
       for b = b0 to b1 - 1 do
-        conv2d_backward_weight_into ~stride ~pad ~engine:`Auto ~ci ~h ~w ~co ~kh
-          ~kw ~oh ~ow gout.data (b * co * oh * ow) input.data (b * ci * h * w)
-          parts (b * wsize)
+        conv2d_backward_weight_into ~stride ~pad ~ci ~h ~w ~co ~kh ~kw ~oh ~ow
+          gout.data (b * co * oh * ow) input.data (b * ci * h * w) parts
+          (b * wsize)
       done);
   let gw = Array.sub parts 0 wsize in
   for b = 1 to n - 1 do

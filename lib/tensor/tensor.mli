@@ -100,6 +100,17 @@ val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 val relu : t -> t
+
+val leaky_relu : float -> t -> t
+(** [leaky_relu slope x] is [x] where positive, else [slope *. x]. *)
+
+val relu_backward : input:t -> t -> t
+(** [relu_backward ~input g] passes [g] where [input > 0.], else 0. *)
+
+val leaky_relu_backward : float -> input:t -> t -> t
+(** [leaky_relu_backward slope ~input g] is [g] where [input > 0.], else
+    [slope *. g]. *)
+
 val sigmoid : t -> t
 val tanh_ : t -> t
 val exp_ : t -> t
@@ -134,39 +145,7 @@ val transpose2 : t -> t
 val matvec : t -> t -> t
 (** [[m; k]] x [[k]] -> [[m]]. *)
 
-(** {1 Convolution kernels (rank 3 activations [[c; h; w]])} *)
-
-type conv_engine = [ `Auto | `Direct | `Gemm ]
-(** Implementation selector for the convolution family.  [`Direct] is
-    the reference loop nest; [`Gemm] lowers onto an im2col + packed
-    GEMM pipeline that reuses {!module:Workspace} scratch.  The two are
-    bit-identical for every shape, stride, and padding — the engine is
-    purely a performance choice — and [`Auto] (the default) picks
-    [`Gemm] once the kernel is large enough to amortize packing. *)
-
-val conv2d :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** [conv2d x ~weight ~bias] with [x : [ci; h; w]],
-    [weight : [co; ci; kh; kw]], [bias : [co]] option. *)
-
-val conv2d_backward_input :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> input_shape:int array ->
-  weight:t -> t -> t
-(** Adjoint of {!conv2d} with respect to its input: maps the gradient of
-    the output back to the gradient of the input. *)
-
-val conv2d_backward_weight :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> input:t ->
-  weight_shape:int array -> t -> t
-(** Adjoint of {!conv2d} with respect to the weight. *)
-
-val conv2d_transpose :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** Transposed convolution (a.k.a. deconvolution), used by the UNet
-    decoder.  [x : [ci; h; w]], [weight : [ci; co; kh; kw]]; output has
-    spatial size [(h-1)*stride - 2*pad + kh]. *)
+(** {1 Pooling and resampling (rank 3 activations [[c; h; w]])} *)
 
 val maxpool2 : t -> t * int array
 (** 2x2, stride-2 max pooling of a rank-3 tensor or a rank-4 batch.
@@ -218,23 +197,33 @@ val swap_halves : t -> t
     two dies of a stacked Siamese batch.  Its own inverse. *)
 
 val conv2d_batch :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** {!conv2d} over a batch: [x : [n; ci; h; w]] -> [[n; co; oh; ow]]. *)
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** 2-D convolution (cross-correlation) over a batch: [x : [n; ci; h;
+    w]] (or one sample [[ci; h; w]]), [weight : [co; ci; kh; kw]],
+    [bias : [co]] option -> [[n; co; oh; ow]] with [oh = (h + 2*pad -
+    kh) / stride + 1].  Each output element sums its terms in (c, ky,
+    kx) order from [+0.], then adds the bias.
+    @raise Invalid_argument on a channel mismatch, an empty output,
+    [stride < 1] or [pad < 0]. *)
 
 val conv2d_transpose_batch :
-  ?stride:int -> ?pad:int -> ?engine:conv_engine -> t -> weight:t ->
-  bias:t option -> t
-(** {!conv2d_transpose} over a batch ([x : [n; ci; h; w]]). *)
+  ?stride:int -> ?pad:int -> t -> weight:t -> bias:t option -> t
+(** Transposed convolution (a.k.a. deconvolution), used by the UNet
+    decoder: [x : [n; ci; h; w]], [weight : [ci; co; kh; kw]]; the
+    output has spatial size [(h-1)*stride - 2*pad + kh].  Each output
+    element sums its terms c, then iy, then ix ascending. *)
 
 val conv2d_backward_input_batch :
   ?stride:int -> ?pad:int -> input_shape:int array -> weight:t -> t -> t
-(** {!conv2d_backward_input} over a batch of output gradients. *)
+(** Adjoint of {!conv2d_batch} with respect to its input: maps a batch
+    of output gradients back to input gradients of shape
+    [input_shape], each element summing (o, ky, kx) ascending. *)
 
 val conv2d_backward_weight_batch :
   ?stride:int -> ?pad:int -> input:t -> weight_shape:int array -> t -> t
-(** {!conv2d_backward_weight} summed over the batch in ascending sample
-    order.
+(** Adjoint of {!conv2d_batch} with respect to the weight: each
+    sample's gradient sums its output pixels in (oy, ox) order, and the
+    samples are summed in ascending order.
     @raise Invalid_argument on an empty batch. *)
 
 val channel_sums : t -> t

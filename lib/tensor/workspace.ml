@@ -1,8 +1,8 @@
 (* Grow-only, per-domain scratch arena.
 
-   The kernel engine needs short-lived float buffers on every call: the
-   packed-B tile of a GEMM, an im2col column block, RUDY's per-chunk
-   partial congestion maps.  Allocating them fresh each time made every
+   The kernels need short-lived float buffers on every call: the
+   packed-B tile of a GEMM, a conv's zero-padded sample copy, RUDY's
+   per-chunk partial congestion maps.  Allocating them fresh each time made every
    training step and every RUDY evaluation pay minor-heap churn and
    major-GC pressure proportional to the scratch footprint (PR 1's
    rudy_map spent more time allocating partial maps than accumulating
@@ -15,7 +15,7 @@
    the next power of two, so that nearby request sizes reuse one slot
    instead of growing a ladder of near-duplicates, while a slot wastes
    at most an eighth of its size (every pool domain that runs a
-   sample's convolutions holds its own im2col buffers).  Steady state — e.g. the Predictor.train epoch loop
+   sample's convolutions holds its own padded copies).  Steady state — e.g. the Predictor.train epoch loop
    calling the same convolution shapes every step — performs zero
    scratch allocations. *)
 

@@ -1,7 +1,7 @@
 (** Grow-only, per-domain scratch arena for kernel workspaces.
 
-    Hot kernels (packed GEMM tiles, im2col column blocks, RUDY partial
-    congestion maps) borrow float buffers here instead of allocating
+    Hot kernels (packed GEMM tiles, zero-padded conv inputs, RUDY
+    partial congestion maps) borrow float buffers here instead of allocating
     fresh arrays per call.  Each domain owns a private arena
     ([Domain.DLS]), so borrowing is lock-free and pool workers never
     contend; buffers only ever grow, so steady-state workloads — the

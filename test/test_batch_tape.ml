@@ -1,5 +1,5 @@
 (* Tests for the batch-native tape: every rank-4 op must give, for a
-   batch of N samples, the bits the per-sample rank-3 kernels give —
+   batch of N samples, the bits the kernels give on each rank-3 sample —
    outputs and input gradients sample by sample, weight and bias
    gradients as the per-sample gradients summed in ascending sample
    order — at N = 1, 2, 3 and under a real multi-domain split.  Plus
@@ -55,18 +55,18 @@ let conv_case n =
       x [ w; b ]
   in
   let gw, gb = match gp with [ gw; gb ] -> (gw, gb) | _ -> assert false in
-  let ys = List.init n (fun s -> T.conv2d ~pad:1 (sample x s) ~weight:w ~bias:(Some b)) in
+  let ys = List.init n (fun s -> T.conv2d_batch ~pad:1 (sample x s) ~weight:w ~bias:(Some b)) in
   check_bits "conv2d output" (T.cat_batch ys) y;
   let gxs =
     List.init n (fun s ->
-        T.conv2d_backward_input ~pad:1 ~input_shape:[| 8; 16; 16 |] ~weight:w
+        T.conv2d_backward_input_batch ~pad:1 ~input_shape:[| 8; 16; 16 |] ~weight:w
           (sample r s))
   in
   check_bits "conv2d input grad" (T.cat_batch gxs) gx;
   check_bits "conv2d weight grad"
     (sum_in_order
        (List.init n (fun s ->
-            T.conv2d_backward_weight ~pad:1 ~input:(sample x s)
+            T.conv2d_backward_weight_batch ~pad:1 ~input:(sample x s)
               ~weight_shape:[| 8; 8; 3; 3 |] (sample r s))))
     gw;
   (* per sample: each channel's pixels summed from 0. in order *)
@@ -94,17 +94,17 @@ let conv_transpose_case n =
       x [ w ]
   in
   let ys =
-    List.init n (fun s -> T.conv2d_transpose ~stride:2 (sample x s) ~weight:w ~bias:None)
+    List.init n (fun s -> T.conv2d_transpose_batch ~stride:2 (sample x s) ~weight:w ~bias:None)
   in
   check_bits "convT output" (T.cat_batch ys) y;
   check_bits "convT input grad"
     (T.cat_batch
-       (List.init n (fun s -> T.conv2d ~stride:2 (sample r s) ~weight:w ~bias:None)))
+       (List.init n (fun s -> T.conv2d_batch ~stride:2 (sample r s) ~weight:w ~bias:None)))
     gx;
   check_bits "convT weight grad"
     (sum_in_order
        (List.init n (fun s ->
-            T.conv2d_backward_weight ~stride:2 ~input:(sample r s)
+            T.conv2d_backward_weight_batch ~stride:2 ~input:(sample r s)
               ~weight_shape:[| 16; 8; 2; 2 |] (sample x s))))
     (List.hd gp)
 

@@ -20,6 +20,8 @@ module Losses = Dco3d_core.Losses
 module Spreader = Dco3d_core.Spreader
 module Dco = Dco3d_core.Dco
 module Tcl = Dco3d_core.Tcl_export
+module Obs = Dco3d_obs.Obs
+module Pool = Dco3d_parallel.Pool
 
 (* shared tiny environment *)
 let env =
@@ -664,6 +666,49 @@ let test_golden_dco () =
        (Digest.string
           (Marshal.to_string (report.Dco.stats, p.Pl.x, p.Pl.y, p.Pl.tier) [])))
 
+(* ------------------------------------------------------------------ *)
+(* Per-op tape spans                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A traced epoch plus two Algorithm-2 iterations, at 32x32 with base 8
+   so the 3x3 convs also split channel pairs across domains: the set of
+   rolled-up span paths must not depend on the job count, and it must
+   hold the per-op and per-stage spans. *)
+let test_span_paths_jobs_invariant () =
+  let d = Lazy.force tiny_dataset in
+  let _, _, base, _ = Lazy.force env in
+  let train, test = Dataset.split ~test_fraction:0.33 ~seed:1 d in
+  let paths jobs =
+    Pool.set_jobs ~exact:true jobs;
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ();
+        Pool.set_jobs 1)
+      (fun () ->
+        let predictor, _ =
+          Predictor.train ~epochs:1 ~input_hw:32 ~base_channels:8 ~augment:false
+            ~seed:3 ~train ~test ()
+        in
+        let config = { Dco.default_config with Dco.iterations = 2; seed = 4 } in
+        ignore (Dco.optimize ~config ~predictor base);
+        List.sort_uniq compare
+          (List.map (fun s -> s.Obs.sp_path) (Obs.stage_profile ())))
+  in
+  let p1 = paths 1 in
+  Alcotest.(check (list string)) "span paths, jobs 1 vs 4" p1 (paths 4);
+  List.iter
+    (fun want ->
+      if not (List.mem want p1) then Alcotest.failf "missing span %s" want)
+    ([ "predictor/epoch:*/conv_fwd"; "predictor/epoch:*/conv_bwd_input";
+       "predictor/epoch:*/conv_bwd_weight"; "predictor/epoch:*/convT_fwd";
+       "predictor/epoch:*/convT_bwd_input"; "predictor/epoch:*/convT_bwd_weight" ]
+    @ List.map (fun s -> "dco/iter:*/" ^ s)
+        [ "gnn"; "soft_maps"; "unet"; "unet/conv_fwd"; "losses"; "backward";
+          "backward/conv_bwd_weight"; "step" ])
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -721,6 +766,8 @@ let suites =
         Alcotest.test_case "cool deterministic" `Quick test_dco_cool_deterministic;
         Alcotest.test_case "resize gradcheck" `Quick test_resize_value_gradcheck;
         Alcotest.test_case "normalize gradcheck" `Quick test_normalize_features_gradcheck;
+        Alcotest.test_case "span paths jobs-invariant" `Slow
+          test_span_paths_jobs_invariant;
       ] );
     ( "core.golden",
       [

@@ -36,8 +36,9 @@ let test_tensor_conv_errors () =
   let x = T.zeros [| 2; 4; 4 |] in
   let w_bad = T.zeros [| 3; 5; 3; 3 |] in
   Alcotest.check_raises "channel mismatch"
-    (Invalid_argument "Tensor.conv2d: channel mismatch between input and weight")
-    (fun () -> ignore (T.conv2d x ~weight:w_bad ~bias:None));
+    (Invalid_argument
+       "Tensor.conv2d_batch: channel mismatch between input and weight")
+    (fun () -> ignore (T.conv2d_batch x ~weight:w_bad ~bias:None));
   let odd = T.zeros [| 1; 3; 4 |] in
   Alcotest.check_raises "odd pool"
     (Invalid_argument "Tensor.maxpool2: spatial dimensions must be even")

@@ -215,20 +215,20 @@ let test_conv2d_par_eq_seq () =
   let w = T.randn rng [| 5; 3; 3; 3 |] in
   let b = T.randn rng [| 5 |] in
   check_par_eq_seq "conv2d" (fun () ->
-      T.conv2d ~pad:1 x ~weight:w ~bias:(Some b));
+      T.conv2d_batch ~pad:1 x ~weight:w ~bias:(Some b));
   check_par_eq_seq "conv2d stride 2" (fun () ->
-      T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:None)
+      T.conv2d_batch ~stride:2 ~pad:1 x ~weight:w ~bias:None)
 
 let test_conv2d_backwards_par_eq_seq () =
   let rng = Rng.create 24 in
   let x = T.randn rng [| 3; 26; 24 |] in
   let w = T.randn rng [| 5; 3; 3; 3 |] in
-  let y = T.conv2d ~pad:1 x ~weight:w ~bias:None in
+  let y = T.conv2d_batch ~pad:1 x ~weight:w ~bias:None in
   let gout = T.randn rng (T.shape y) in
   check_par_eq_seq "backward input" (fun () ->
-      T.conv2d_backward_input ~pad:1 ~input_shape:(T.shape x) ~weight:w gout);
+      T.conv2d_backward_input_batch ~pad:1 ~input_shape:(T.shape x) ~weight:w gout);
   check_par_eq_seq "backward weight" (fun () ->
-      T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:(T.shape w) gout)
+      T.conv2d_backward_weight_batch ~pad:1 ~input:x ~weight_shape:(T.shape w) gout)
 
 let test_conv2d_transpose_par_eq_seq () =
   let rng = Rng.create 25 in
@@ -236,7 +236,7 @@ let test_conv2d_transpose_par_eq_seq () =
   let w = T.randn rng [| 6; 4; 4; 4 |] in
   let b = T.randn rng [| 4 |] in
   check_par_eq_seq "conv2d_transpose" (fun () ->
-      T.conv2d_transpose ~stride:2 ~pad:1 x ~weight:w ~bias:(Some b))
+      T.conv2d_transpose_batch ~stride:2 ~pad:1 x ~weight:w ~bias:(Some b))
 
 let test_rudy_par_eq_seq () =
   let nl = Gen.generate ~scale:0.02 ~seed:5 (Gen.profile "DMA") in

@@ -149,7 +149,7 @@ let test_conv2d_identity () =
   let rng = Rng.create 1 in
   let x = T.rand_uniform rng [| 2; 4; 4 |] in
   let w = T.make [| 2; 2; 1; 1 |] [| 1.; 0.; 0.; 1. |] in
-  let y = T.conv2d x ~weight:w ~bias:None in
+  let y = T.conv2d_batch x ~weight:w ~bias:None in
   Alcotest.check tensor_testable "identity conv" x y
 
 let test_conv2d_known () =
@@ -157,7 +157,7 @@ let test_conv2d_known () =
      counts the number of valid taps. *)
   let x = T.ones [| 1; 3; 3 |] in
   let w = T.ones [| 1; 1; 3; 3 |] in
-  let y = T.conv2d ~pad:1 x ~weight:w ~bias:None in
+  let y = T.conv2d_batch ~pad:1 x ~weight:w ~bias:None in
   Alcotest.check tensor_testable "padded sum conv"
     (T.make [| 1; 3; 3 |] [| 4.; 6.; 4.; 6.; 9.; 6.; 4.; 6.; 4. |])
     y
@@ -165,14 +165,14 @@ let test_conv2d_known () =
 let test_conv2d_stride_shape () =
   let x = T.zeros [| 3; 8; 8 |] in
   let w = T.zeros [| 5; 3; 3; 3 |] in
-  let y = T.conv2d ~stride:2 ~pad:1 x ~weight:w ~bias:None in
+  let y = T.conv2d_batch ~stride:2 ~pad:1 x ~weight:w ~bias:None in
   Alcotest.(check (array int)) "strided shape" [| 5; 4; 4 |] (T.shape y)
 
 let test_conv2d_bias () =
   let x = T.zeros [| 1; 2; 2 |] in
   let w = T.zeros [| 2; 1; 1; 1 |] in
   let b = T.of_array1 [| 1.5; -0.5 |] in
-  let y = T.conv2d x ~weight:w ~bias:(Some b) in
+  let y = T.conv2d_batch x ~weight:w ~bias:(Some b) in
   check_float "bias ch0" 1.5 (T.get3 y 0 0 0);
   check_float "bias ch1" (-0.5) (T.get3 y 1 1 1)
 
@@ -187,10 +187,10 @@ let prop_conv_adjoint =
       let ci = 2 and co = 3 and h = 6 and w = 6 and k = 3 and pad = 1 in
       let x = T.randn rng [| ci; h; w |] in
       let wt = T.randn rng [| co; ci; k; k |] in
-      let y = T.conv2d ~stride ~pad x ~weight:wt ~bias:None in
+      let y = T.conv2d_batch ~stride ~pad x ~weight:wt ~bias:None in
       let gy = T.randn rng (T.shape y) in
       let gx =
-        T.conv2d_backward_input ~stride ~pad ~input_shape:[| ci; h; w |]
+        T.conv2d_backward_input_batch ~stride ~pad ~input_shape:[| ci; h; w |]
           ~weight:wt gy
       in
       abs_float (T.dot y gy -. T.dot x gx) < 1e-8)
@@ -202,10 +202,10 @@ let prop_conv_weight_grad =
       let ci = 1 and co = 2 and h = 5 and w = 5 and k = 3 in
       let x = T.randn rng [| ci; h; w |] in
       let wt = T.randn rng [| co; ci; k; k |] in
-      let loss wt = T.sum (T.conv2d ~pad:1 x ~weight:wt ~bias:None) in
+      let loss wt = T.sum (T.conv2d_batch ~pad:1 x ~weight:wt ~bias:None) in
       let gy = T.ones [| co; h; w |] in
       let gw =
-        T.conv2d_backward_weight ~pad:1 ~input:x ~weight_shape:(T.shape wt) gy
+        T.conv2d_backward_weight_batch ~pad:1 ~input:x ~weight_shape:(T.shape wt) gy
       in
       let eps = 1e-5 in
       let idx = Rng.int rng (T.numel wt) in
@@ -218,7 +218,7 @@ let prop_conv_weight_grad =
 let test_conv_transpose_shape () =
   let x = T.zeros [| 4; 5; 5 |] in
   let w = T.zeros [| 4; 2; 2; 2 |] in
-  let y = T.conv2d_transpose ~stride:2 x ~weight:w ~bias:None in
+  let y = T.conv2d_transpose_batch ~stride:2 x ~weight:w ~bias:None in
   Alcotest.(check (array int)) "transpose shape" [| 2; 10; 10 |] (T.shape y)
 
 let prop_conv_transpose_adjoint =
@@ -231,11 +231,11 @@ let prop_conv_transpose_adjoint =
       (* weight for transpose: [ci; co; kh; kw] *)
       let wt = T.randn rng [| ci; co; k; k |] in
       let x = T.randn rng [| ci; h; w |] in
-      let y = T.conv2d_transpose ~stride x ~weight:wt ~bias:None in
+      let y = T.conv2d_transpose_batch ~stride x ~weight:wt ~bias:None in
       let gy = T.randn rng (T.shape y) in
       (* adjoint direction: conv2d with the same kernel viewed as
          [cout = ci; cin = co]. *)
-      let gx = T.conv2d ~stride gy ~weight:wt ~bias:None in
+      let gx = T.conv2d_batch ~stride gy ~weight:wt ~bias:None in
       abs_float (T.dot y gy -. T.dot x gx) < 1e-8)
 
 (* ------------------------------------------------------------------ *)
