@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean bench-deterministic bench-check perfbench-selftest serve-smoke quantize-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
+.PHONY: all build test bench examples clean bench-deterministic bench-check perfbench-selftest serve-smoke balance-smoke thermal-smoke warm-smoke corpus-smoke
 
 # Parallel jobs used for the determinism check's "parallel" leg.
 JOBS ?= 4
@@ -90,37 +90,13 @@ serve-smoke:
 	  echo "serve-smoke: OK" || { echo "serve-smoke: FAILED"; exit 1; }
 	@rm -f $(LOGS)/serve-smoke.sock
 
-# Quantized-path smoke: `dco3d quantize` must produce a loadable int8
-# model that passes its own golden-parity gate (BENCH_parity_smoke.json
-# is the uploadable artifact), and `dco3d serve --numeric i8` must
-# serve predictions from it end to end.
-quantize-smoke:
-	dune build bin/dco3d.exe
-	mkdir -p $(LOGS)
-	rm -f $(LOGS)/quantize-smoke.sock $(LOGS)/predictor.i8.bin $(LOGS)/predictor.i8.bin.qnet BENCH_parity_smoke.json
-	dune exec --no-build bin/dco3d.exe -- quantize --gcell 24 --samples 2 \
-	  -o $(LOGS)/predictor.i8.bin --report BENCH_parity_smoke.json
-	cat BENCH_parity_smoke.json
-	dune exec --no-build bin/dco3d.exe -- serve --socket $(LOGS)/quantize-smoke.sock \
-	  --model $(LOGS)/predictor.i8.bin --numeric i8 > $(LOGS)/quantize-smoke.log 2>&1 & \
-	SERVE_PID=$$!; \
-	for i in $$(seq 1 50); do [ -S $(LOGS)/quantize-smoke.sock ] && break; sleep 0.1; done; \
-	[ -S $(LOGS)/quantize-smoke.sock ] || { cat $(LOGS)/quantize-smoke.log; exit 1; }; \
-	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/quantize-smoke.sock \
-	  -s 0.05 --gcell 16 --repeat 2 | tee $(LOGS)/quantize-predict.log && \
-	grep -q "cache hit" $(LOGS)/quantize-predict.log && \
-	kill -TERM $$SERVE_PID && wait $$SERVE_PID; \
-	STATUS=$$?; cat $(LOGS)/quantize-smoke.log; \
-	[ $$STATUS -eq 0 ] && grep -q "numeric i8" $(LOGS)/quantize-smoke.log && \
-	  grep -q "drained and stopped" $(LOGS)/quantize-smoke.log && \
-	  echo "quantize-smoke: OK" || { echo "quantize-smoke: FAILED"; exit 1; }
-	@rm -f $(LOGS)/quantize-smoke.sock $(LOGS)/predictor.i8.bin $(LOGS)/predictor.i8.bin.qnet
-
-# Fleet smoke: `dco3d balance` with two shards (one f32, one i8)
-# behind one socket.  Concurrent clients route by numeric path, a
-# SIGKILLed shard is respawned by the supervisor while `client predict
-# --retry` rides through, and SIGTERM drains the whole fleet.  The
-# balancer and each shard leave stage profiles under $(LOGS)/.
+# Fleet smoke: `dco3d balance` with two shards behind one socket.
+# Concurrent clients route by hash affinity; a routed client says
+# `--route any`, and a second one pins the fingerprint that hello
+# printed.  A SIGKILLed shard is respawned by the supervisor while
+# `client predict --retry` rides through, and SIGTERM drains the whole
+# fleet.  The balancer and each shard leave stage profiles under
+# $(LOGS)/.
 balance-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
@@ -128,7 +104,7 @@ balance-smoke:
 	rm -rf $(LOGS)/balance-spill
 	DCO3D_PROFILE=$(LOGS)/balance-profile.txt \
 	  dune exec --no-build bin/dco3d.exe -- balance --socket $(LOGS)/balance-smoke.sock \
-	  --ctl $(LOGS)/balance-smoke.ctl --shards 2 --numerics f32,i8 \
+	  --ctl $(LOGS)/balance-smoke.ctl --shards 2 \
 	  --spill-dir $(LOGS)/balance-spill \
 	  > $(LOGS)/balance-smoke.log 2>&1 & \
 	BAL_PID=$$!; \
@@ -138,10 +114,13 @@ balance-smoke:
 	    dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
 	      -s 0.05 --gcell 16 --seed $$s --retry 6 & \
 	  done; wait ) > $(LOGS)/balance-predict.log 2>&1 && \
+	FP=$$(dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
+	  -s 0.05 --gcell 16 --route any --retry 6 | tee -a $(LOGS)/balance-predict.log \
+	  | sed -n 's/^hello: shard [0-9]* (fingerprint \([0-9a-f]*\))$$/\1/p') && \
+	[ -n "$$FP" ] && \
 	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
-	  -s 0.05 --gcell 16 --route i8 --retry 6 | tee -a $(LOGS)/balance-predict.log | grep -q "numeric i8" && \
-	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
-	  -s 0.05 --gcell 16 --route f32 --retry 6 | tee -a $(LOGS)/balance-predict.log | grep -q "numeric f32" && \
+	  -s 0.05 --gcell 16 --route $$FP --retry 6 | tee -a $(LOGS)/balance-predict.log \
+	  | grep -q "(fingerprint $$FP)" && \
 	pkill -9 -f "[-]-shard-id 0" && sleep 1 && \
 	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/balance-smoke.sock \
 	  -s 0.05 --gcell 16 --retry 10 >> $(LOGS)/balance-predict.log 2>&1 && \

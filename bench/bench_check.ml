@@ -20,13 +20,11 @@
                          Catches "the new engine is slower than the one
                          we shipped" even when speedup still looks fine.
      4. per-op floors  - some rows promise more than "parallel is not
-                         slower": predict_i8's speedup column is int8
-                         time vs the float32 reference, and the
-                         quantized engine ships with a >= 2x contract;
-                         serve_fleet's is 2-shard over 1-shard wall
-                         time, with a >= 1.5x scaling contract on
-                         multi-core hosts (the fresh file's "cores"
-                         header says what the bench machine had);
+                         slower": serve_fleet's is 2-shard over
+                         1-shard wall time, with a >= 1.5x scaling
+                         contract on multi-core hosts (the fresh
+                         file's "cores" header says what the bench
+                         machine had);
                          route_warm's is cold re-route over warm-start
                          time on a perturbed placement, with a >= 2x
                          incremental-routing contract.
@@ -193,7 +191,6 @@ let () =
       let verdicts = ref [] in
       let floor =
         match r.op with
-        | "predict_i8" -> 2.0
         (* warm-started incremental re-route promises >= 2x over a cold
            re-route of the same perturbed placement; the ratio compares
            two routing runs on the same schedule, so it holds at any

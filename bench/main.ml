@@ -945,11 +945,11 @@ let route_bench () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Predict benchmark: float32 vs int8 inference                         *)
+(* Predict benchmark: batched inference                                 *)
 (* ------------------------------------------------------------------ *)
 
 let predict_bench () =
-  section "Predict benchmark (float32 vs quantized int8 inference)";
+  section "Predict benchmark (batched float32 inference)";
   let target_jobs = Pool.jobs () in
   let effective = Pool.effective_jobs () in
   (* An untrained network exercises the identical kernel mix as a
@@ -972,27 +972,23 @@ let predict_bench () =
     digest_tensors
       (Array.to_list r |> List.concat_map (fun (a, b) -> [ a; b ]))
   in
-  (* the predict legs are long (~100 ms) but the headline ratio rides
-     on both legs' minima; seven reps keep those minima stable on a
-     noisy host *)
+  (* the predict legs are long (~100 ms) but the speedup rides on both
+     legs' minima; seven reps keep those minima stable on a noisy
+     host *)
   let reps = max 7 (env_int "DCO3D_BENCH_REPS" 7) in
-  let run numeric () = Predictor.predict_batch ~numeric predictor pairs in
+  let run () = Predictor.predict_batch predictor pairs in
   Pool.set_jobs 1;
-  let f32_seq_t, f32_seq = time_best reps (run `F32) in
-  let i8_seq_t, i8_seq = time_best reps (run `I8) in
+  let f32_seq_t, f32_seq = time_best reps run in
   Pool.set_jobs target_jobs;
-  let f32_par_t, f32_par = time_best reps (run `F32) in
-  let i8_par_t, i8_par = time_best reps (run `I8) in
-  let fold seq par = if effective = 1 then
-      let best = Float.min seq par in (best, best)
-    else (seq, par)
+  let f32_par_t, f32_par = time_best reps run in
+  let f32_seq_t, f32_par_t =
+    if effective = 1 then
+      let best = Float.min f32_seq_t f32_par_t in
+      (best, best)
+    else (f32_seq_t, f32_par_t)
   in
-  let f32_seq_t, f32_par_t = fold f32_seq_t f32_par_t in
-  let _, i8_par_t = fold i8_seq_t i8_par_t in
   let df32_seq = digest_preds f32_seq and df32_par = digest_preds f32_par in
-  let di8_seq = digest_preds i8_seq and di8_par = digest_preds i8_par in
   let f32_ok = String.equal df32_seq df32_par in
-  let i8_ok = String.equal di8_seq di8_par in
   Printf.printf "  jobs: sequential=1 parallel=%d (effective %d of %d cores)\n"
     target_jobs effective
     (Domain.recommended_domain_count ());
@@ -1001,31 +997,12 @@ let predict_bench () =
   Printf.printf "  %-24s %-28s %9.2f %9.2f %7.2fx %s\n%!" "predict_f32" size
     (f32_seq_t *. 1e3) (f32_par_t *. 1e3) (f32_seq_t /. f32_par_t)
     (if f32_ok then "ok" else "MISMATCH");
-  (* the int8 row's "speedup" column is the headline ratio: float32
-     time over int8 time on the same schedule *)
-  Printf.printf "  %-24s %-28s %9.2f %9.2f %7.2fx %s\n%!" "predict_i8" size
-    (f32_par_t *. 1e3) (i8_par_t *. 1e3) (f32_par_t /. i8_par_t)
-    (if i8_ok then "ok" else "MISMATCH");
-  if not (f32_ok && i8_ok) then begin
+  if not f32_ok then begin
     prerr_endline
       "predict: parallel result diverged from sequential result (digest \
        mismatch)";
     exit 1
   end;
-  let parity = Dco3d_core.Parity.compare ~f32:f32_par ~i8:i8_par in
-  Printf.printf "  ";
-  Dco3d_core.Parity.pp stdout parity;
-  print_newline ();
-  let oc = open_out "BENCH_parity.json" in
-  output_string oc (Dco3d_core.Parity.to_json parity);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [wrote BENCH_parity.json]\n%!";
-  (match Dco3d_core.Parity.check parity with
-  | Ok () -> ()
-  | Error msg ->
-      prerr_endline ("predict: parity violation: " ^ msg);
-      exit 1);
   [
     {
       k_name = "predict_f32";
@@ -1035,17 +1012,6 @@ let predict_bench () =
       k_par_ms = f32_par_t *. 1e3;
       k_digest = df32_seq;
       k_ok = f32_ok;
-    };
-    {
-      k_name = "predict_i8";
-      k_size = size;
-      k_flops = None;
-      (* seq_ms = float32 time, par_ms = int8 time: the row's speedup
-         is the quantization payoff, gated at >= 2x by bench_check *)
-      k_seq_ms = f32_par_t *. 1e3;
-      k_par_ms = i8_par_t *. 1e3;
-      k_digest = di8_seq;
-      k_ok = i8_ok;
     };
   ]
 
@@ -1111,7 +1077,7 @@ let serve_bench () =
         [|
           exe; "serve"; "--shard-of"; ctl; "--shard-id"; string_of_int i;
           "--seed"; string_of_int seed; "--input-hw"; string_of_int input_hw;
-          "--linger-ms"; "2"; "--numeric"; "f32";
+          "--linger-ms"; "2";
         |]
       in
       let cfg =

@@ -42,9 +42,6 @@ let build ?(n_samples = 24) ?(seed = 0) ?route_cache ~route_cfg nl fp =
   let samples =
     Obs.with_span "dataset/build" @@ fun () ->
     Pool.tabulate ~chunk:1 n_samples (fun i ->
-        (* on a pool worker the span stack is empty, so this span starts
-           a fresh root on the worker's trace track; on the caller it
-           nests under dataset/build *)
         Obs.with_span (Printf.sprintf "sample:%d" i) @@ fun () ->
         let rng = Rng.create ((seed lxor 0x0d5e7) + (0x6a09e667 * (i + 1))) in
         let params = Params.sample rng in

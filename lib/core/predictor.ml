@@ -92,14 +92,14 @@ let train ?(epochs = 12) ?(lr = 2e-3) ?(input_hw = 32) ?(base_channels = 8)
   done;
   ({ net; input_hw; label_scale }, { train_loss; test_loss; epochs })
 
-let predict_batch ?(numeric = `F32) t pairs =
+let predict_batch t pairs =
   if Array.length pairs = 0 then [||]
   else begin
     let fmap stack =
       Fm.resize_stack (Fm.normalize stack) t.input_hw t.input_hw
     in
     let prepped = Array.map (fun (f0, f1) -> (fmap f0, fmap f1)) pairs in
-    let outs = SiaUNet.predict_batch ~numeric t.net prepped in
+    let outs = SiaUNet.predict_batch t.net prepped in
     Array.map2
       (fun (f_bottom, _) (c0, c1) ->
         let nx = T.dim f_bottom 2 and ny = T.dim f_bottom 1 in
@@ -110,20 +110,17 @@ let predict_batch ?(numeric = `F32) t pairs =
       pairs outs
   end
 
-let predict ?numeric t f_bottom f_top =
-  (predict_batch ?numeric t [| (f_bottom, f_top) |]).(0)
+let predict t f_bottom f_top = (predict_batch t [| (f_bottom, f_top) |]).(0)
 
-let fingerprint ?(numeric = `F32) t =
-  (* the numeric path is part of the model identity: an int8 and a
-     float predictor must never share a serve-cache key *)
-  let net_fp =
-    match numeric with
-    | `F32 -> ("f32", SiaUNet.fingerprint t.net)
-    | `I8 -> ("i8", SiaUNet.qnet_fingerprint (SiaUNet.quantized t.net))
-  in
+let fingerprint t =
+  (* The "f32" domain tag stays in the digest input: dropping it would
+     move every fingerprint, and with them the serve-cache, spill and
+     route-pin keys already on disk. *)
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (t.input_hw, t.label_scale, net_fp) []))
+       (Marshal.to_string
+          (t.input_hw, t.label_scale, ("f32", SiaUNet.fingerprint t.net))
+          []))
 
 let evaluate t (d : Dataset.t) =
   (* metrics at the network resolution H x W, as the paper evaluates at
@@ -186,55 +183,6 @@ let load ?expect path =
      Marshal-decodes fine must still agree with the data pipeline and
      the stored network resolution, or [predict] would blow up inside
      a conv long after loading "succeeded". *)
-  let cfg = SiaUNet.config net in
-  if cfg.SiaUNet.in_channels <> Fm.n_channels then
-    load_error path
-      (Printf.sprintf
-         "weights expect %d input channels but the feature pipeline produces %d"
-         cfg.SiaUNet.in_channels Fm.n_channels);
-  let granularity = 1 lsl cfg.SiaUNet.depth in
-  if input_hw mod granularity <> 0 then
-    load_error path
-      (Printf.sprintf
-         "network resolution %d is not divisible by 2^depth = %d" input_hw
-         granularity);
-  { net; input_hw; label_scale }
-
-(* Standalone int8 artifact: the resolution/scale header plus a
-   companion .qnet file holding the quantized network. *)
-let qmagic = "DCO3D-QPRED-V1"
-
-let save_quantized t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc qmagic;
-      Marshal.to_channel oc (t.input_hw, t.label_scale) []);
-  SiaUNet.save_quantized (SiaUNet.quantized t.net) (path ^ ".qnet")
-
-let load_quantized path =
-  let ic = try open_in_bin path with Sys_error msg -> load_error path msg in
-  let input_hw, label_scale =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let tag = really_input_string ic (String.length qmagic) in
-          if tag <> qmagic then load_error path "bad file magic";
-          (Marshal.from_channel ic : int * float)
-        with
-        | End_of_file -> load_error path "truncated file"
-        | Failure msg -> load_error path msg)
-  in
-  if input_hw < 1 then
-    load_error path (Printf.sprintf "invalid network resolution %d" input_hw);
-  if not (Float.is_finite label_scale) || label_scale <= 0. then
-    load_error path (Printf.sprintf "invalid label scale %g" label_scale);
-  let net =
-    try SiaUNet.load_quantized (path ^ ".qnet")
-    with SiaUNet.Load_error msg -> raise (Load_error msg)
-  in
   let cfg = SiaUNet.config net in
   if cfg.SiaUNet.in_channels <> Fm.n_channels then
     load_error path

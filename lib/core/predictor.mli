@@ -35,17 +35,13 @@ val train :
     never trained on. *)
 
 val predict :
-  ?numeric:[ `F32 | `I8 ] ->
   t -> Dco3d_tensor.Tensor.t -> Dco3d_tensor.Tensor.t ->
   Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t
 (** [predict t f_bottom f_top] takes raw [7; ny; nx] GCell-resolution
     feature stacks and returns the predicted congestion maps at the
-    same [ny; nx] resolution, in ground-truth (overflow) units.
-    [~numeric:`I8] (default [`F32]) runs the memoized int8 compilation
-    of the network instead of the float path. *)
+    same [ny; nx] resolution, in ground-truth (overflow) units. *)
 
 val predict_batch :
-  ?numeric:[ `F32 | `I8 ] ->
   t ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
@@ -55,16 +51,13 @@ val predict_batch :
     domains).  Element [i]
     is bit-identical to [predict t (fst pairs.(i)) (snd pairs.(i))] at
     every [DCO3D_JOBS] value — the serve micro-batcher coalesces
-    requests on the strength of this guarantee.  Both guarantees hold
-    on the int8 path ([~numeric:`I8]) as well. *)
+    requests on the strength of this guarantee. *)
 
-val fingerprint : ?numeric:[ `F32 | `I8 ] -> t -> string
+val fingerprint : t -> string
 (** Hex digest covering the network architecture, every weight bit, the
     network resolution and the label scale — the model component of the
-    serve result-cache key.  The numeric path is part of the identity:
-    [fingerprint ~numeric:`I8 t] digests the quantized bits under a
-    distinct domain tag, so an int8 and a float predictor can never
-    share a cache key. *)
+    serve result-cache key, the spill-store key and the balancer's
+    route pin. *)
 
 val evaluate :
   t -> Dataset.t -> (float * float) list
@@ -94,18 +87,4 @@ val load : ?expect:Dco3d_nn.Siamese_unet.config -> string -> t
     shapes against the declared architecture) so that a mismatched or
     swapped file fails here instead of deep inside a convolution later.
     @raise Load_error on a missing, truncated, malformed or mismatched
-    file. *)
-
-val save_quantized : t -> string -> unit
-(** Persist the standalone int8 artifact: resolution/scale header plus
-    a companion [.qnet] file holding the quantized network (magic +
-    digest framing). *)
-
-val load_quantized : string -> t
-(** Restore a predictor from an int8 artifact written by
-    {!save_quantized}.  The returned predictor's int8 path
-    ([predict ~numeric:`I8]) serves the artifact exactly; its float
-    path carries the dequantized weights.  The same pipeline
-    cross-checks as {!load} apply.
-    @raise Load_error on a missing, truncated, corrupt or inconsistent
     file. *)

@@ -1,5 +1,6 @@
 module T = Dco3d_tensor.Tensor
 module V = Dco3d_autodiff.Value
+module Obs = Dco3d_obs.Obs
 module Nl = Dco3d_netlist.Netlist
 module Pl = Dco3d_place.Placement
 module Fp = Dco3d_place.Floorplan
@@ -415,5 +416,8 @@ let build ?thermal ~placement ~x ~y ~z ~nx ~ny () =
       caches;
     [ Some gx_arr; Some gy_arr; Some gz_arr ]
   in
-  let fused = V.custom ~data:out ~parents:[ x; y; z ] ~backward in
+  let fused =
+    V.custom ~data:out ~parents:[ x; y; z ] ~backward:(fun g ->
+        Obs.with_span "soft_maps_bwd" (fun () -> backward g))
+  in
   (V.slice_channels fused 0 n_ch, V.slice_channels fused n_ch n_ch)

@@ -1,4 +1,5 @@
 module V = Dco3d_autodiff.Value
+module Obs = Dco3d_obs.Obs
 
 (* [spmm adj] computes the transpose at most once, on the first
    backward through it, however often the partial application runs. *)
@@ -7,7 +8,9 @@ let spmm adj =
   fun x ->
     let y = Csr.spmm adj (V.data x) in
     V.custom ~data:y ~parents:[ x ]
-      ~backward:(fun g -> [ Some (Csr.spmm (Lazy.force adj_t) g) ])
+      ~backward:(fun g ->
+        Obs.with_span "gcn_bwd" (fun () ->
+            [ Some (Csr.spmm (Lazy.force adj_t) g) ]))
 
 type t = {
   prop : V.t -> V.t;  (** [spmm adj], transpose shared across calls *)

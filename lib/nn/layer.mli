@@ -6,45 +6,12 @@
     obtained simply by applying the same layer value to several
     inputs. *)
 
-type act_kind =
-  | Relu
-  | Leaky of float
-  | Sigmoid
-  | Tanh
-  | Maxpool2
-  | Opaque  (** a custom {!activation} — not introspectable *)
-
-(** Structural description of a layer, for compilers that rewrite the
-    inference path (e.g. {!Quant} fusing activations into int8 conv
-    epilogues).  Parameter values are shared with [params], so a spec
-    always sees the current weights. *)
-type spec =
-  | Conv of {
-      stride : int;
-      pad : int;
-      weight : Dco3d_autodiff.Value.t;
-      bias : Dco3d_autodiff.Value.t option;
-    }
-  | Conv_transpose of {
-      stride : int;
-      pad : int;
-      weight : Dco3d_autodiff.Value.t;
-      bias : Dco3d_autodiff.Value.t option;
-    }
-  | Linear of {
-      weight : Dco3d_autodiff.Value.t;
-      bias : Dco3d_autodiff.Value.t option;
-    }
-  | Act of act_kind
-  | Seq of spec list
-
 type t = {
   params : Dco3d_autodiff.Value.t list;  (** trainable leaves *)
   forward : Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t;
       (** one sample [[c; h; w]] or a batch [[n; c; h; w]] ([[n; f]]
           rows for {!linear}); inference runs it under
           {!Dco3d_autodiff.Value.no_grad} *)
-  spec : spec;  (** structure, for introspection *)
 }
 
 val conv2d :
@@ -79,10 +46,8 @@ val linear :
   Dco3d_tensor.Rng.t -> ?bias:bool -> in_dim:int -> out_dim:int -> unit -> t
 (** Dense layer on rank-2 inputs [[n; in_dim]] (row-wise). *)
 
-val activation :
-  ?kind:act_kind -> (Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t) -> t
-(** Parameter-free layer from any differentiable function.  [?kind]
-    (default {!Opaque}) labels the spec for introspection. *)
+val activation : (Dco3d_autodiff.Value.t -> Dco3d_autodiff.Value.t) -> t
+(** Parameter-free layer from any differentiable function. *)
 
 val relu : t
 val leaky_relu : float -> t

@@ -12,18 +12,6 @@ type level = {
   dec : Layer.t;  (** double conv after skip concatenation *)
 }
 
-(* The int8 compilation of a network: one Quant program per layer,
-   plus a fingerprint over every quantized bit. *)
-type qnet = {
-  q_cfg : config;
-  q_levels : (Quant.t * Quant.t * Quant.t) array;  (** enc, up, dec *)
-  q_bottleneck : Quant.t;
-  q_comm_self : Quant.t;
-  q_comm_cross : Quant.t;
-  q_head : Quant.t;
-  q_fp : string;
-}
-
 type t = {
   cfg : config;
   levels : level array;  (** index 0 = full resolution *)
@@ -31,8 +19,6 @@ type t = {
   comm_self : Layer.t;  (** pointwise conv on the die's own bottleneck *)
   comm_cross : Layer.t;  (** pointwise conv on the other die's bottleneck *)
   head : Layer.t;  (** 1x1 conv to a single congestion channel *)
-  mutable qcache : qnet option;
-      (** memoized int8 compilation; invalidated on weight load *)
 }
 
 let double_conv rng ~in_channels ~out_channels =
@@ -71,7 +57,7 @@ let create rng cfg =
   let comm_self = Layer.pointwise rng ~in_channels:cb ~out_channels:cb () in
   let comm_cross = Layer.pointwise rng ~in_channels:cb ~out_channels:cb () in
   let head = Layer.pointwise rng ~in_channels:base ~out_channels:1 () in
-  { cfg; levels; bottleneck; comm_self; comm_cross; head; qcache = None }
+  { cfg; levels; bottleneck; comm_self; comm_cross; head }
 
 (* Encoder over a batch: returns skip activations (one per level) and
    the bottleneck activation. *)
@@ -114,115 +100,15 @@ let forward net f0 f1 =
   let c = decode net skips b' in
   (V.batch_slice c 0 n, V.batch_slice c n n)
 
-(* ------------------------------------------------------------------ *)
-(* Quantized int8 inference.                                           *)
-(*                                                                     *)
-(* The same data flow as forward with each layer replaced by its      *)
-(* Quant compilation: spatial convs run on the int8 engine with fused  *)
-(* requantize/bias/activation, the pointwise communication and head    *)
-(* layers stay float32.  Per-sample activation quantization keeps the  *)
-(* batching contract: element [b] of a batched quantized predict is    *)
-(* bit-identical to the singleton quantized predict of sample [b].     *)
-(* ------------------------------------------------------------------ *)
-
-let q_programs q =
-  List.concat
-    [
-      Array.to_list q.q_levels |> List.concat_map (fun (e, u, d) -> [ e; u; d ]);
-      [ q.q_bottleneck; q.q_comm_self; q.q_comm_cross; q.q_head ];
-    ]
-
-let q_fingerprint_of cfg progs =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string ("i8", cfg, List.map Quant.to_parts progs) []))
-
-let qnet_fingerprint q = q.q_fp
-
-let quantize net =
-  (* The second conv of the level-0 encoder stays float32.  Its output
-     is the full-resolution skip tensor, so any quantization error
-     there reaches the prediction twice — directly through the skip
-     concatenation into the last decoder block and again through the
-     pooled deep path — which makes it the single largest contributor
-     to int8/f32 divergence (measured on the golden-parity harness).
-     Pinning that one conv costs a single full-resolution conv at the
-     network's thinnest channel count; everything else with spatial
-     extent quantizes. *)
-  let q_levels =
-    Array.mapi
-      (fun i l ->
-        ( (if i = 0 then Quant.of_layer ~quantize_conv:(fun c -> c <> 1) l.enc
-           else Quant.of_layer l.enc),
-          Quant.of_layer l.up,
-          Quant.of_layer l.dec ))
-      net.levels
-  in
-  let q =
-    {
-      q_cfg = net.cfg;
-      q_levels;
-      q_bottleneck = Quant.of_layer net.bottleneck;
-      q_comm_self = Quant.of_layer net.comm_self;
-      q_comm_cross = Quant.of_layer net.comm_cross;
-      q_head = Quant.of_layer net.head;
-      q_fp = "";
-    }
-  in
-  { q with q_fp = q_fingerprint_of net.cfg (q_programs q) }
-
-let quantized net =
-  match net.qcache with
-  | Some q -> q
-  | None ->
-      let q = quantize net in
-      net.qcache <- Some q;
-      q
-
-let encode_batch_q q x =
-  let skips = Array.make (Array.length q.q_levels) x in
-  let cur = ref x in
-  Array.iteri
-    (fun l (enc, _, _) ->
-      let a = Quant.forward_batch enc !cur in
-      skips.(l) <- a;
-      cur := T.maxpool2_batch a)
-    q.q_levels;
-  (skips, Quant.forward_batch q.q_bottleneck !cur)
-
-let decode_batch_q q skips bottom =
-  let cur = ref bottom in
-  for l = Array.length q.q_levels - 1 downto 0 do
-    let _, up, dec = q.q_levels.(l) in
-    let u = Quant.forward_batch up !cur in
-    cur := Quant.forward_batch dec (T.concat_channels_batch [ u; skips.(l) ])
-  done;
-  Quant.forward_batch q.q_head !cur
-
-let forward_batch_q q x0 x1 =
-  let skips0, b0 = encode_batch_q q x0 in
-  let skips1, b1 = encode_batch_q q x1 in
-  let communicate own other =
-    T.leaky_relu 0.1
-      (T.add
-         (Quant.forward_batch q.q_comm_self own)
-         (Quant.forward_batch q.q_comm_cross other))
-  in
-  let b0' = communicate b0 b1 in
-  let b1' = communicate b1 b0 in
-  (decode_batch_q q skips0 b0', decode_batch_q q skips1 b1')
-
-let predict_batch ?(numeric = `F32) net pairs =
+let predict_batch net pairs =
   if Array.length pairs = 0 then [||]
   else begin
     let x0 = T.stack (Array.map fst pairs) in
     let x1 = T.stack (Array.map snd pairs) in
     let c0, c1 =
-      match numeric with
-      | `F32 ->
-          let c0, c1 = V.no_grad (fun () -> forward net (V.const x0) (V.const x1)) in
-          (V.data c0, V.data c1)
-      | `I8 -> forward_batch_q (quantized net) x0 x1
+      V.no_grad (fun () ->
+          let c0, c1 = forward net (V.const x0) (V.const x1) in
+          (V.data c0, V.data c1))
     in
     (* each sample comes back as [1; h; w]; flatten to the rank-2 map
        [predict] returns *)
@@ -272,9 +158,7 @@ let load_state net snapshot =
       for i = 0 to T.numel d - 1 do
         T.set_flat d i (T.get_flat s i)
       done)
-    ps snapshot;
-  (* the memoized int8 compilation captured the old weights *)
-  net.qcache <- None
+    ps snapshot
 
 (* Persistence: a tagged Marshal image of the config plus raw
    (shape, data) pairs.  The file is only ever read back by [load], so
@@ -353,101 +237,3 @@ let load ?expect path =
         load_error path
           (Printf.sprintf "weights disagree with the declared architecture %s (%s)"
              (config_string cfg) msg))
-
-(* ------------------------------------------------------------------ *)
-(* Quantized persistence.                                              *)
-(*                                                                     *)
-(* A standalone int8 artifact: config plus the Quant parts of every    *)
-(* layer program, framed as magic + MD5 digest + payload so that any   *)
-(* corruption is caught deterministically at load, before any of the   *)
-(* packed bytes reach a kernel.                                        *)
-(* ------------------------------------------------------------------ *)
-
-let qmagic = "DCO3D-QUNET-V1"
-
-let save_quantized q path =
-  let payload =
-    Marshal.to_string (q.q_cfg, List.map Quant.to_parts (q_programs q)) []
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc qmagic;
-      output_string oc (Digest.string payload);
-      output_string oc payload)
-
-let qload_error path cause =
-  raise
-    (Load_error (Printf.sprintf "Siamese_unet.load_quantized: %s: %s" path cause))
-
-(* Rebuild the float32 parameter snapshot a quantized program implies:
-   the dequantized weights and stored biases, ordered exactly as the
-   layer's [params] (weight before bias, convs in program order). *)
-let state_of_program prog =
-  List.concat_map
-    (function
-      | Quant.F_conv { weight; bias; _ } -> weight :: Option.to_list bias
-      | _ -> [])
-    (Quant.dequantized prog).Quant.units
-
-let load_quantized path =
-  let ic = try open_in_bin path with Sys_error msg -> qload_error path msg in
-  let cfg, parts =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let tag = really_input_string ic (String.length qmagic) in
-          if tag <> qmagic then qload_error path "bad file magic";
-          let digest = really_input_string ic 16 in
-          let len = in_channel_length ic - pos_in ic in
-          let payload = really_input_string ic len in
-          if Digest.string payload <> digest then
-            qload_error path "payload digest mismatch (corrupt file)";
-          (Marshal.from_string payload 0 : config * Quant.parts list)
-        with
-        | End_of_file -> qload_error path "truncated file"
-        | Failure msg -> qload_error path msg)
-  in
-  if cfg.in_channels < 1 || cfg.base_channels < 1 || cfg.depth < 1
-     || cfg.depth > 2
-  then qload_error path ("invalid architecture " ^ config_string cfg);
-  if List.length parts <> (3 * cfg.depth) + 4 then
-    qload_error path
-      (Printf.sprintf "expected %d layer programs, file holds %d"
-         ((3 * cfg.depth) + 4) (List.length parts));
-  let progs =
-    try List.map Quant.of_parts parts
-    with Invalid_argument msg -> qload_error path msg
-  in
-  let arr = Array.of_list progs in
-  let q =
-    let q0 =
-      {
-        q_cfg = cfg;
-        q_levels =
-          Array.init cfg.depth (fun l ->
-              (arr.(3 * l), arr.((3 * l) + 1), arr.((3 * l) + 2)));
-        q_bottleneck = arr.(3 * cfg.depth);
-        q_comm_self = arr.((3 * cfg.depth) + 1);
-        q_comm_cross = arr.((3 * cfg.depth) + 2);
-        q_head = arr.((3 * cfg.depth) + 3);
-        q_fp = "";
-      }
-    in
-    { q0 with q_fp = q_fingerprint_of cfg (q_programs q0) }
-  in
-  (* The float side of the returned network carries the dequantized
-     (fake-quantized) weights — the function the int8 path effectively
-     computes up to integer rounding — while the seeded qcache serves
-     the exact artifact on the int8 path. *)
-  try
-    let net = create (Dco3d_tensor.Rng.create 0) cfg in
-    load_state net (List.concat_map state_of_program progs);
-    net.qcache <- Some q;
-    net
-  with Invalid_argument msg ->
-    qload_error path
-      (Printf.sprintf "programs disagree with the declared architecture %s (%s)"
-         (config_string cfg) msg)

@@ -54,7 +54,6 @@ val predict :
     rank-2 [[h; w]] maps. *)
 
 val predict_batch :
-  ?numeric:[ `F32 | `I8 ] ->
   t ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array ->
   (Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t) array
@@ -63,54 +62,7 @@ val predict_batch :
     {!Dco3d_autodiff.Value.no_grad} — the training graph with recording
     off.  Element [i] of the result is bit-identical to [predict net
     (fst pairs.(i)) (snd pairs.(i))] at every [DCO3D_JOBS] value — the
-    contract the serve micro-batcher and its result cache depend on.
-
-    [~numeric:`I8] (default [`F32]) runs the int8 compilation of the
-    network (see {!quantized}) instead: spatial convs execute on the
-    quantized engine, within a small tolerance of the float path (the
-    golden-parity harness bounds the divergence).  The determinism and
-    batching contracts hold on this path too — results are
-    bit-identical at every [DCO3D_JOBS] value and per-sample
-    activation scales decouple batchmates. *)
-
-(** {1 Quantized int8 inference} *)
-
-type qnet
-(** An int8 compilation of a network: spatial convolutions quantized
-    per output channel with fused requantize/bias/activation
-    epilogues, pointwise layers kept in float32 (see {!Quant}). *)
-
-val quantize : t -> qnet
-(** Compile the network's current weights.  Pure — does not touch the
-    memoized cache. *)
-
-val quantized : t -> qnet
-(** Memoized {!quantize}: compiled once per weight state; the cache is
-    invalidated by {!load_state}. *)
-
-val forward_batch_q :
-  qnet ->
-  Dco3d_tensor.Tensor.t ->
-  Dco3d_tensor.Tensor.t ->
-  Dco3d_tensor.Tensor.t * Dco3d_tensor.Tensor.t
-(** The batched two-die forward on the int8 compilation. *)
-
-val qnet_fingerprint : qnet -> string
-(** Hex digest of the architecture plus every quantized bit (packed
-    int8 payloads, scales, float fallback weights), domain-separated
-    from {!fingerprint} — an int8 and a float model can never share a
-    cache key. *)
-
-val save_quantized : qnet -> string -> unit
-(** Persist a standalone int8 artifact (magic + digest framing). *)
-
-val load_quantized : string -> t
-(** Restore a network from an int8 artifact.  The returned network's
-    int8 path serves the artifact exactly ({!quantized} is pre-seeded);
-    its float path carries the dequantized ("fake-quantized") weights —
-    the function the int8 path computes up to integer rounding.
-    @raise Load_error on a missing, truncated, corrupt (digest
-    mismatch) or inconsistent file. *)
+    contract the serve micro-batcher and its result cache depend on. *)
 
 val params : t -> Dco3d_autodiff.Value.t list
 val num_params : t -> int

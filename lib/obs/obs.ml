@@ -16,9 +16,10 @@
 
    3. Span paths form a stage tree.  Nesting is tracked per domain
       with DLS, so a span opened inside another on the same domain
-      extends its path ("flow" -> "flow/place" -> "flow/place/cg_solve")
-      while spans on pool workers start fresh roots and land on their
-      own trace track.  High-cardinality segments ("iter:17",
+      extends its path ("flow" -> "flow/place" -> "flow/place/cg_solve").
+      Pool regions hand their chunks the caller's path, so a span on a
+      worker nests exactly as it would on the caller (on the worker's
+      own trace track).  High-cardinality segments ("iter:17",
       "sample:3", "net:812") are rolled up to "iter:*" in the
       aggregated profile; the raw trace keeps exact names. *)
 
@@ -154,6 +155,15 @@ let with_span ?(args = []) name f =
           ~ts_us:ts ~dur_us:dur ~args)
       f
   end
+
+type span_context = string list
+
+let span_context () = Domain.DLS.get span_stack
+
+let with_span_context ctx f =
+  let saved = Domain.DLS.get span_stack in
+  Domain.DLS.set span_stack ctx;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set span_stack saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Counters, gauges, histograms                                        *)

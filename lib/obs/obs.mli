@@ -61,11 +61,23 @@ val set_profile_dest : string -> unit
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] times [f ()] on the monotonic clock and records
     the interval under [parent_path/name], where the parent path is the
-    innermost span currently open on this domain (spans opened on pool
-    worker domains start fresh roots — the trace shows them on their
-    own track).  [args] attaches key/value detail visible in the trace
-    viewer.  The result (or exception) of [f] is passed through;
-    disabled, [with_span name f] is [f ()]. *)
+    innermost span currently open on this domain.  [args] attaches
+    key/value detail visible in the trace viewer.  The result (or
+    exception) of [f] is passed through; disabled, [with_span name f]
+    is [f ()]. *)
+
+type span_context
+(** The open span path of one domain, captured so that work handed to
+    another domain nests under the same parent. *)
+
+val span_context : unit -> span_context
+(** The calling domain's open span path. *)
+
+val with_span_context : span_context -> (unit -> 'a) -> 'a
+(** [with_span_context ctx f] runs [f ()] with [ctx] as this domain's
+    open span path, restoring the previous one afterwards.  Pool
+    regions use it so a chunk's spans get the same path whichever
+    domain runs it. *)
 
 (** {1 Counters, gauges, histograms} *)
 

@@ -250,10 +250,20 @@ let run_region n_chunks run_chunk =
           (fun () ->
             Obs.incr c_regions_parallel;
             Obs.set_gauge g_effective_jobs (float_of_int pool.size);
+            (* Workers start with empty span stacks: hand every chunk
+               the caller's span path, so a chunk's spans roll up to
+               the same path whichever domain runs it. *)
+            let task =
+              if Obs.enabled () then begin
+                let ctx = Obs.span_context () in
+                fun c -> Obs.with_span_context ctx (fun () -> run_chunk c)
+              end
+              else run_chunk
+            in
             let r =
               {
                 n_chunks;
-                task = run_chunk;
+                task;
                 next = Atomic.make 0;
                 running = Atomic.make 0;
                 failed = Atomic.make None;

@@ -10,15 +10,16 @@
    fleet's steady-state data path has zero proxy copies.
 
    Routing: a [Hello want] first request pins the connection to a shard
-   by numeric path or model fingerprint (the balancer answers the hello
-   itself, then passes a bare fd).  Any other first request routes
-   within the primary fingerprint group — slot 0's model — so clients
-   that never hello always get results bit-identical to a direct
-   [Predictor.predict] with that model: [Predict]s by hash affinity on
-   their predict key (cache locality across connections), everything
-   else round-robin.  While that group is momentarily empty (startup,
-   mid-swap) default traffic gets [Overloaded] rather than a
-   foreign-fingerprint shard; [Client.retry] rides through.
+   with a given model fingerprint, or to any live shard (the balancer
+   answers the hello itself, then passes a bare fd).  Any other first
+   request routes within the primary fingerprint group — slot 0's
+   model — so clients that never hello always get results
+   bit-identical to a direct [Predictor.predict] with that model:
+   [Predict]s by hash affinity on their predict key (cache locality
+   across connections), everything else round-robin.  While that group
+   is momentarily empty (startup, mid-swap) default traffic gets
+   [Overloaded] rather than a foreign-fingerprint shard; [Client.retry]
+   rides through.
 
    Supervision: shards are child processes respawned from the same
    argv.  A health loop reaps crashed pids ([waitpid WNOHANG] per pid),
@@ -74,7 +75,6 @@ type slot = {
   mutable ctl : Unix.file_descr option;  (* control channel to the shard *)
   mutable health : Unix.file_descr option;  (* our end of the health pair *)
   mutable fingerprint : string;
-  mutable numeric : string;
   mutable restarts : int;  (* completed respawns *)
   mutable respawn_at : float;  (* earliest next spawn, Unix time *)
 }
@@ -84,7 +84,6 @@ type slot_info = {
   si_state : string;
   si_pid : int;
   si_fingerprint : string;
-  si_numeric : string;
   si_restarts : int;
 }
 
@@ -200,7 +199,6 @@ let register_shard t sock (hello : P.shard_hello) =
                  slot.ctl <- Some sock;
                  slot.health <- Some h_bal;
                  slot.fingerprint <- hello.P.sh_fingerprint;
-                 slot.numeric <- hello.P.sh_numeric;
                  slot.state <- Live;
                  Obs.set_gauge slot.g_live 1.
              | exception _ ->
@@ -249,7 +247,7 @@ let live_slots t = (* t.m held *)
    it.  While the group is empty (startup, or slot 0's model mid-swap
    with no same-fingerprint sibling) this returns nothing and the
    caller answers [Overloaded] — [Client.retry] rides through the gap.
-   Falling back to a foreign-fingerprint shard (e.g. i8) would break
+   Falling back to a foreign-fingerprint shard would break
    the guarantee that default traffic is bit-identical to a direct
    predict with slot 0's model. *)
 let primary_group t = (* t.m held *)
@@ -271,8 +269,6 @@ let pick_slot t (env : P.envelope) = (* t.m held *)
       let candidates =
         match want with
         | P.Want_any -> live_slots t
-        | P.Want_numeric num ->
-            List.filter (fun s -> s.numeric = num) (live_slots t)
         | P.Want_fingerprint fp ->
             List.filter (fun s -> s.fingerprint = fp) (live_slots t)
       in
@@ -345,7 +341,6 @@ let route_connection t fd =
                                    {
                                      h_fingerprint = slot.fingerprint;
                                      h_shard = slot.idx;
-                                     h_numeric = slot.numeric;
                                    }) )
                       | _ -> Some (slot, payload, None)))
             in
@@ -519,7 +514,6 @@ let start cfg ~argv_of =
               ctl = None;
               health = None;
               fingerprint = "";
-              numeric = "";
               restarts = -1;  (* first spawn is not a "restart" *)
               respawn_at = 0.;
             });
@@ -553,7 +547,6 @@ let slots t =
                si_state = state_name s.state;
                si_pid = s.pid;
                si_fingerprint = s.fingerprint;
-               si_numeric = s.numeric;
                si_restarts = s.restarts;
              }))
 

@@ -32,7 +32,8 @@ val ping : t -> unit
 
 val hello : ?want:Protocol.route_want -> t -> string * int * string
 (** Route pin + handshake: sends [Hello want] (default [Want_any]) and
-    returns the serving shard's [(fingerprint, shard_id, numeric)].
+    returns the serving shard's [(fingerprint, shard_id,
+    Protocol.precision)].
     Behind a balancer this must be the connection's first request —
     it is what the routing decision is made from. *)
 

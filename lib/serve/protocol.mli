@@ -31,7 +31,6 @@ type flow_spec = {
 
 type route_want =
   | Want_any  (** any live shard *)
-  | Want_numeric of string  (** a shard serving this numeric path ("f32"/"i8") *)
   | Want_fingerprint of string  (** a shard with exactly this model fingerprint *)
 
 (** The third async request class: corpus PPA cells and corpus dataset
@@ -113,7 +112,7 @@ type reply =
       (** backpressure: the predict queue is past its high-water mark *)
   | Timed_out
   | Server_error of string
-  | Hello_reply of { h_fingerprint : string; h_shard : int; h_numeric : string }
+  | Hello_reply of { h_fingerprint : string; h_shard : int }
       (** answer to [Hello]: which shard the connection landed on *)
   | Corpus_status of corpus_status
       (** answer to [Corpus_submit] is [Accepted id]; this answers
@@ -122,6 +121,16 @@ type reply =
 exception Protocol_error of string
 (** Bad magic, unsupported version, oversized frame, or digest
     mismatch. *)
+
+val version : int
+(** The frame header's version byte.  A frame carrying any other value
+    is refused with [Protocol_error "unsupported protocol version v"]
+    before its payload is decoded, so peers built against a different
+    payload layout fail cleanly instead of decoding ill-typed values. *)
+
+val precision : string
+(** ["f32"]: the arithmetic every shard serves in, reported as the
+    third component of {!Client.hello}. *)
 
 val max_frame_bytes : int
 
@@ -164,7 +173,6 @@ type shard_hello = {
   sh_pid : int;
   sh_shard : int;
   sh_fingerprint : string;
-  sh_numeric : string;
 }
 
 val encode_shard_hello : shard_hello -> string

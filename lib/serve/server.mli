@@ -51,12 +51,6 @@ type config = {
       (** how long the batcher waits for companions once one request is
           pending (default 2.0) *)
   cache_capacity : int;  (** LRU result-cache entries (default 128) *)
-  numeric : [ `F32 | `I8 ];
-      (** inference numeric path (default [`F32]).  [`I8] serves the
-          memoized int8 compilation of the model; the cache key's
-          fingerprint component is numeric-path-specific, so int8 and
-          float results can never alias.  The compilation is forced at
-          {!start}, so the first request pays no quantization latency. *)
   spill_dir : string option;
       (** when set, evicted LRU entries are persisted here ({!Spill})
           and cache misses read through the spill before running the
@@ -76,9 +70,6 @@ type config = {
 }
 
 val default_config : address -> config
-
-val numeric_name : [ `F32 | `I8 ] -> string
-(** ["f32"] / ["i8"] — the wire spelling used in hello handshakes. *)
 
 val bind_listen : address -> Unix.file_descr * address
 (** Bind + listen on an address, unlinking a stale Unix-domain path
@@ -112,10 +103,8 @@ val bound_addr : t -> address
     the kernel picked.  For a detached server, echoes the config. *)
 
 val fingerprint : t -> string
-(** The numeric-aware model fingerprint this server computes cache keys
-    with (forced at start). *)
-
-val numeric : t -> [ `F32 | `I8 ]
+(** The model fingerprint this server computes cache keys with
+    (computed at start). *)
 
 val request_stop : t -> unit
 (** Begin a graceful shutdown: stop accepting, nudge every serving

@@ -33,7 +33,6 @@ let run ~ctl_path (cfg : Server.config) predictor =
       P.sh_pid = Unix.getpid ();
       sh_shard = cfg.Server.shard_id;
       sh_fingerprint = Server.fingerprint t;
-      sh_numeric = Server.numeric_name (Server.numeric t);
     }
   in
   (match Fdpass.send_ctl sock ~tag:'H' (P.encode_shard_hello hello) with

@@ -6,8 +6,8 @@
     rolling swaps keep the hot set warm.  Entries use the same
     magic+digest framing as the model files ("DCO3D-SPILL-V1" +
     MD5(body)), store their own cache key for verification, and are
-    written via temp-file + rename.  Cache keys embed the numeric-aware
-    model fingerprint, so a stale spill dir can never serve maps from a
+    written via temp-file + rename.  Cache keys embed the model
+    fingerprint, so a stale spill dir can never serve maps from a
     different model.
 
     All operations are best-effort and never raise on IO failure:

@@ -239,83 +239,6 @@ val concat_channels_batch : t list -> t
 (** Concatenate rank-4 tensors along the channel axis; batch and
     spatial dimensions must agree. *)
 
-(** {1 Quantized int8 inference kernels}
-
-    An opt-in low-precision forward path: weights are quantized once,
-    per output channel, to symmetric int8 (scale [max|W[o]|/127], zero
-    point 0); activations are quantized per {e sample} at call time.
-    The int8xint8 products accumulate in exact integer arithmetic
-    (three consecutive k-elements lane-packed per native word; one
-    integer multiply of a forward-packed weight word against a
-    reverse-packed activation word lands their 3-term dot product in a
-    single lane) and requantize to float32 per output element, so
-    results are bit-identical at every [DCO3D_JOBS] value and a
-    sample's result never depends on which batch it was coalesced
-    into. *)
-
-type qweight
-(** A packed per-channel-quantized convolution weight: biased int8
-    bytes, one float scale and one precomputed byte-sum per output
-    channel. *)
-
-val quantize_weight : t -> qweight
-(** [quantize_weight w] quantizes a rank-4 [[co; ci; kh; kw]] weight.
-    Zero weights map to exact zero; the representable range is
-    symmetric ([-127 .. 127], never [-128]).
-    @raise Invalid_argument unless [w] is rank 4. *)
-
-val dequantize_weight : qweight -> t
-(** Reconstruct the float weight [q . scale] (the "fake-quantized"
-    tensor the int8 path effectively convolves with). *)
-
-val qweight_shape : qweight -> int array
-val qweight_scales : qweight -> float array
-
-val qweight_bytes : qweight -> Bytes.t
-(** Copy of the biased int8 payload (row-major [[co; ci*kh*kw]], byte =
-    [q + 128]) — what persistence layers store and fingerprints
-    digest. *)
-
-val qweight_of_parts :
-  shape:int array -> data:Bytes.t -> scales:float array -> qweight
-(** Rebuild a {!qweight} from its persisted parts, revalidating shape
-    agreement, scale positivity and the symmetric byte range.
-    @raise Invalid_argument on any inconsistency. *)
-
-val conv2d_batch_i8 :
-  ?stride:int -> ?pad:int -> ?act:[ `None | `Relu | `Leaky of float ] ->
-  t -> qweight:qweight -> bias:t option -> t
-(** {!conv2d_batch} on the int8 path: float [[n; ci; h; w]] in, float
-    [[n; co; oh; ow]] out, int8 im2col/GEMM inside with bias and the
-    optional activation fused into the requantizing epilogue.
-    Per-sample activation quantization makes element [b] of the result
-    bit-identical to a singleton call on sample [b] alone. *)
-
-val quantize_weight_transposed : t -> qweight
-(** Quantize a {e transposed}-convolution weight ([[ci; co; kh; kw]])
-    into the equivalent forward kernel (output-channel-major,
-    spatially flipped), with per-output-channel scales, for use with
-    {!conv2d_transpose_batch_i8}.
-    @raise Invalid_argument unless the weight is rank 4. *)
-
-val conv2d_transpose_batch_i8 :
-  ?stride:int -> ?pad:int -> ?act:[ `None | `Relu | `Leaky of float ] ->
-  t -> qweight:qweight -> bias:t option -> t
-(** {!conv2d_transpose_batch} on the int8 path: runs the stride-1
-    quantized convolution of a {!quantize_weight_transposed} kernel
-    over the zero-stuffed input.  Same determinism and per-sample
-    guarantees as {!conv2d_batch_i8}.
-    @raise Invalid_argument if [pad >= kh] or [pad >= kw]. *)
-
-val gemm_i8_exact : m:int -> k:int -> n:int -> Bytes.t -> Bytes.t -> int array
-(** [gemm_i8_exact ~m ~k ~n a b] multiplies biased-int8 matrices
-    [a : m x k] and [b : k x n] (row-major bytes, byte = value + 128)
-    through the lane-packed microkernel and returns the raw integer
-    dot products [sum_p qa(i,p) . qb(p,j)] — the int32 accumulator
-    contents, exposed for eps=0 property tests against a reference
-    loop.
-    @raise Invalid_argument on size mismatches. *)
-
 (** {1 Map utilities (rank 2 and 3)} *)
 
 val resize_nearest : t -> int -> int -> t

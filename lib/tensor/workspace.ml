@@ -21,16 +21,13 @@
 
 type slot = { mutable buf : float array; mutable in_use : bool }
 
-(* The int8 inference path borrows byte buffers (quantized activations,
-   im2col scan lines) and word buffers (lane-packed GEMM tiles, column
-   sums) with exactly the float pool's lifecycle, so each gets its own
-   grow-only slot list in the same per-domain arena. *)
-type bslot = { mutable bbuf : Bytes.t; mutable b_in_use : bool }
+(* The conv kernels borrow int buffers (tap offset tables) with exactly
+   the float pool's lifecycle, so they get their own grow-only slot list
+   in the same per-domain arena. *)
 type islot = { mutable ibuf : int array; mutable i_in_use : bool }
 
 type arena = {
   mutable slots : slot list;
-  mutable bslots : bslot list;
   mutable islots : islot list;
   mutable borrows : int;  (* with_* calls served *)
   mutable grows : int;  (* calls that had to allocate or grow a slot *)
@@ -38,7 +35,7 @@ type arena = {
 
 let key =
   Domain.DLS.new_key (fun () ->
-      { slots = []; bslots = []; islots = []; borrows = 0; grows = 0 })
+      { slots = []; islots = []; borrows = 0; grows = 0 })
 
 let round_capacity n =
   let c = ref 16 in
@@ -100,48 +97,6 @@ let with_zeroed n f =
       Array.fill buf 0 n 0.;
       f buf)
 
-(* Same policy as [acquire], over the byte pool. *)
-let acquire_bytes arena n =
-  arena.borrows <- arena.borrows + 1;
-  let best = ref None in
-  List.iter
-    (fun s ->
-      if (not s.b_in_use) && Bytes.length s.bbuf >= n then
-        match !best with
-        | Some b when Bytes.length b.bbuf <= Bytes.length s.bbuf -> ()
-        | _ -> best := Some s)
-    arena.bslots;
-  match !best with
-  | Some s ->
-      s.b_in_use <- true;
-      s
-  | None ->
-      arena.grows <- arena.grows + 1;
-      let grown = ref None in
-      List.iter
-        (fun s ->
-          if not s.b_in_use then
-            match !grown with
-            | Some b when Bytes.length b.bbuf >= Bytes.length s.bbuf -> ()
-            | _ -> grown := Some s)
-        arena.bslots;
-      let cap = round_capacity n in
-      (match !grown with
-      | Some s ->
-          s.bbuf <- Bytes.create cap;
-          s.b_in_use <- true;
-          s
-      | None ->
-          let s = { bbuf = Bytes.create cap; b_in_use = true } in
-          arena.bslots <- s :: arena.bslots;
-          s)
-
-let with_bytes n f =
-  if n < 0 then invalid_arg "Workspace.with_bytes: negative size";
-  let arena = Domain.DLS.get key in
-  let s = acquire_bytes arena n in
-  Fun.protect ~finally:(fun () -> s.b_in_use <- false) (fun () -> f s.bbuf)
-
 (* Same policy as [acquire], over the int-word pool. *)
 let acquire_ints arena n =
   arena.borrows <- arena.borrows + 1;
@@ -191,7 +146,6 @@ let live_floats () =
 let live_scratch_bytes () =
   let arena = Domain.DLS.get key in
   (8 * live_floats ())
-  + List.fold_left (fun acc s -> acc + Bytes.length s.bbuf) 0 arena.bslots
   + List.fold_left (fun acc s -> acc + (8 * Array.length s.ibuf)) 0 arena.islots
 
 let borrows () = (Domain.DLS.get key).borrows
@@ -201,11 +155,9 @@ let reset () =
   let arena = Domain.DLS.get key in
   if
     List.exists (fun s -> s.in_use) arena.slots
-    || List.exists (fun s -> s.b_in_use) arena.bslots
     || List.exists (fun s -> s.i_in_use) arena.islots
   then invalid_arg "Workspace.reset: a buffer is still borrowed";
   arena.slots <- [];
-  arena.bslots <- [];
   arena.islots <- [];
   arena.borrows <- 0;
   arena.grows <- 0

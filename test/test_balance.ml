@@ -1,7 +1,7 @@
 (* dco3d.serve fleet: LRU eviction hooks, persistent spill framing,
    warm restarts from spill, self-pipe stop latency, and process-level
    balancer failure paths (shard crash mid-stream, drain-while-serving,
-   numeric-path routing) against real [dco3d serve --shard-of]
+   fingerprint routing) against real [dco3d serve --shard-of]
    children. *)
 
 module T = Dco3d_tensor.Tensor
@@ -175,7 +175,6 @@ let server_cfg ?(cache_capacity = 128) ?spill_dir ?(shard_id = 0) () =
     max_batch = 8;
     batch_linger_ms = 10.;
     cache_capacity;
-    numeric = `F32;
     spill_dir;
     route_cache_dir = None;
     corpus_dir = None;
@@ -335,7 +334,7 @@ let cli_predictor ~seed ~input_hw =
   in
   { Predictor.net; input_hw; label_scale = 1.0 }
 
-let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
+let fleet_argv ~ctl ~seed_of ~input_hw ?spill_root () i =
   let base =
     [
       dco3d_exe;
@@ -345,13 +344,11 @@ let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
       "--shard-id";
       string_of_int i;
       "--seed";
-      string_of_int seed;
+      string_of_int (seed_of i);
       "--input-hw";
       string_of_int input_hw;
       "--linger-ms";
       "10";
-      "--numeric";
-      numeric_of i;
     ]
   in
   let full =
@@ -363,7 +360,7 @@ let fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root () i =
   in
   Array.of_list full
 
-let with_fleet ?spill_root ~numeric_of ~seed ~input_hw n f =
+let with_fleet ?spill_root ~seed_of ~input_hw n f =
   if not (Sys.file_exists dco3d_exe) then
     Alcotest.failf "missing shard binary %s" dco3d_exe;
   let addr = Server.Unix_path (tmp_name ".sock") in
@@ -371,7 +368,7 @@ let with_fleet ?spill_root ~numeric_of ~seed ~input_hw n f =
   let cfg = Balance.default_config ~address:addr ~ctl_path:ctl ~n_shards:n in
   let b =
     Balance.start cfg
-      ~argv_of:(fleet_argv ~ctl ~seed ~input_hw ~numeric_of ?spill_root ())
+      ~argv_of:(fleet_argv ~ctl ~seed_of ~input_hw ?spill_root ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -395,55 +392,73 @@ let slot_pid b idx =
   | None -> Alcotest.failf "slot %d missing" idx
 
 let test_fleet_routing_and_bits () =
-  let seed = 7 and input_hw = 16 in
-  let numeric_of i = if i = 1 then "i8" else "f32" in
-  with_fleet ~numeric_of ~seed ~input_hw 2 @@ fun _b addr ->
-  (* explicit numeric routing via hello *)
-  let c_i8 = Client.connect addr in
-  let _fp, shard_i8, numeric_i8 =
-    Client.hello ~want:(Proto.Want_numeric "i8") c_i8
+  let input_hw = 16 in
+  (* two shards serving different models: slot 0 the seed-7 network,
+     slot 1 the seed-8 one *)
+  let seed_of i = 7 + i in
+  with_fleet ~seed_of ~input_hw 2 @@ fun _b addr ->
+  let p0 = cli_predictor ~seed:7 ~input_hw
+  and p1 = cli_predictor ~seed:8 ~input_hw in
+  let fp0 = Predictor.fingerprint p0 and fp1 = Predictor.fingerprint p1 in
+  Alcotest.(check bool) "the two models differ" true (fp0 <> fp1);
+  (* pinning a fingerprint via hello lands on the shard serving it *)
+  let pin fp =
+    let c = Client.connect addr in
+    let fp', shard, precision =
+      Client.hello ~want:(Proto.Want_fingerprint fp) c
+    in
+    Alcotest.(check string) "fingerprint pin honoured" fp fp';
+    Alcotest.(check string) "hello reports f32" Proto.precision precision;
+    (c, shard)
   in
-  Alcotest.(check string) "i8 request lands on the i8 shard" "i8" numeric_i8;
-  Alcotest.(check int) "which is slot 1" 1 shard_i8;
-  let c_f32 = Client.connect addr in
-  let fp_f32, shard_f32, numeric_f32 =
-    Client.hello ~want:(Proto.Want_numeric "f32") c_f32
-  in
-  Alcotest.(check string) "f32 request lands on the f32 shard" "f32"
-    numeric_f32;
-  Alcotest.(check int) "which is slot 0" 0 shard_f32;
-  (* pinning an exact fingerprint also routes *)
-  let c_fp = Client.connect addr in
-  let fp2, _, _ = Client.hello ~want:(Proto.Want_fingerprint fp_f32) c_fp in
-  Alcotest.(check string) "fingerprint pin honoured" fp_f32 fp2;
-  Client.close c_fp;
-  (* legacy clients (no hello) route within the primary f32 group and
-     stay bit-identical to a local Predictor.predict *)
-  let predictor = cli_predictor ~seed ~input_hw in
+  let c1, shard1 = pin fp1 in
+  Alcotest.(check int) "seed-8 model is slot 1" 1 shard1;
+  let c0, shard0 = pin fp0 in
+  Alcotest.(check int) "seed-7 model is slot 0" 0 shard0;
+  (* Want_any lands on some live shard and names its model *)
+  let c_any = Client.connect addr in
+  let fp_any, shard_any, _ = Client.hello ~want:Proto.Want_any c_any in
+  Alcotest.(check string) "any-route names its shard's model"
+    (if shard_any = 0 then fp0 else fp1)
+    fp_any;
+  Client.close c_any;
+  (* a fingerprint no shard serves is refused, not misrouted *)
+  let c_none = Client.connect addr in
+  (match
+     Client.hello ~want:(Proto.Want_fingerprint "no-such-model") c_none
+   with
+  | _ -> Alcotest.fail "unknown fingerprint was routed"
+  | exception Client.Error _ -> ());
+  Client.close c_none;
+  (* legacy clients (no hello) route within the primary group — slot
+     0's model — and stay bit-identical to a local Predictor.predict *)
   let rng = Rng.create 31 in
   for i = 0 to 3 do
     let b, t = (rand_stack rng 8 10, rand_stack rng 8 10) in
-    let eb, et = Predictor.predict predictor b t in
+    let eb, et = Predictor.predict p0 b t in
     let c = Client.connect addr in
     let rb, rt, _ = predict_ok (Printf.sprintf "legacy %d" i) c b t in
     check_bits (Printf.sprintf "legacy %d bottom" i) eb rb;
     check_bits (Printf.sprintf "legacy %d top" i) et rt;
     Client.close c
   done;
-  (* the already-helloed connections keep serving on their shard *)
+  (* the pinned connections keep serving their own model's bits *)
   let b1, t1 = (rand_stack rng 8 10, rand_stack rng 8 10) in
-  ignore (predict_ok "pinned i8 predict" c_i8 b1 t1);
-  ignore (predict_ok "pinned f32 predict" c_f32 b1 t1);
-  Client.close c_i8;
-  Client.close c_f32
+  let check_pinned what c p =
+    let eb, et = Predictor.predict p b1 t1 in
+    let rb, rt, _ = predict_ok what c b1 t1 in
+    check_bits (what ^ " bottom") eb rb;
+    check_bits (what ^ " top") et rt
+  in
+  check_pinned "pinned seed-8 predict" c1 p1;
+  check_pinned "pinned seed-7 predict" c0 p0;
+  Client.close c1;
+  Client.close c0
 
 let test_fleet_crash_drain_spill () =
   let seed = 7 and input_hw = 16 in
   let spill_root = tmp_name ".fleet-spill" in
-  with_fleet ~spill_root
-    ~numeric_of:(fun _ -> "f32")
-    ~seed ~input_hw 2
-  @@ fun b addr ->
+  with_fleet ~spill_root ~seed_of:(fun _ -> seed) ~input_hw 2 @@ fun b addr ->
   let predictor = cli_predictor ~seed ~input_hw in
   let rng = Rng.create 37 in
   let fb, ft = (rand_stack rng 9 9, rand_stack rng 9 9) in

@@ -670,13 +670,15 @@ let test_golden_dco () =
 (* Per-op tape spans                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A traced epoch plus two Algorithm-2 iterations, at 32x32 with base 8
-   so the 3x3 convs also split channel pairs across domains: the set of
-   rolled-up span paths must not depend on the job count, and it must
-   hold the per-op and per-stage spans. *)
+(* A traced dataset build, an epoch and two Algorithm-2 iterations, at
+   32x32 with base 8 so the 3x3 convs also split channel pairs across
+   domains: the set of rolled-up span paths must not depend on the job
+   count, and it must hold the per-op and per-stage spans.  Dataset
+   samples run on pool workers at jobs 4, so their spans must still
+   nest under dataset/build rather than start roots of their own. *)
 let test_span_paths_jobs_invariant () =
   let d = Lazy.force tiny_dataset in
-  let _, _, base, _ = Lazy.force env in
+  let nl, fp, base, route_cfg = Lazy.force env in
   let train, test = Dataset.split ~test_fraction:0.33 ~seed:1 d in
   let paths jobs =
     Pool.set_jobs ~exact:true jobs;
@@ -688,6 +690,7 @@ let test_span_paths_jobs_invariant () =
         Obs.reset ();
         Pool.set_jobs 1)
       (fun () ->
+        ignore (Dataset.build ~n_samples:4 ~seed:2 ~route_cfg nl fp);
         let predictor, _ =
           Predictor.train ~epochs:1 ~input_hw:32 ~base_channels:8 ~augment:false
             ~seed:3 ~train ~test ()
@@ -700,14 +703,20 @@ let test_span_paths_jobs_invariant () =
   let p1 = paths 1 in
   Alcotest.(check (list string)) "span paths, jobs 1 vs 4" p1 (paths 4);
   List.iter
+    (fun p ->
+      if String.starts_with ~prefix:"sample:" p then
+        Alcotest.failf "root sample span %s" p)
+    p1;
+  List.iter
     (fun want ->
       if not (List.mem want p1) then Alcotest.failf "missing span %s" want)
-    ([ "predictor/epoch:*/conv_fwd"; "predictor/epoch:*/conv_bwd_input";
+    ([ "dataset/build/sample:*"; "predictor/epoch:*/conv_fwd"; "predictor/epoch:*/conv_bwd_input";
        "predictor/epoch:*/conv_bwd_weight"; "predictor/epoch:*/convT_fwd";
        "predictor/epoch:*/convT_bwd_input"; "predictor/epoch:*/convT_bwd_weight" ]
     @ List.map (fun s -> "dco/iter:*/" ^ s)
         [ "gnn"; "soft_maps"; "unet"; "unet/conv_fwd"; "losses"; "backward";
-          "backward/conv_bwd_weight"; "step" ])
+          "backward/conv_bwd_weight"; "backward/soft_maps_bwd";
+          "backward/gcn_bwd"; "step" ])
 
 let qtest = QCheck_alcotest.to_alcotest
 

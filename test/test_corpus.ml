@@ -297,7 +297,6 @@ let with_corpus_server f =
       max_batch = 8;
       batch_linger_ms = 5.;
       cache_capacity = 16;
-      numeric = `F32;
       spill_dir = None;
       (* the PPA store defaults to <route cache>/corpus *)
       route_cache_dir = Some (tmp_dir ());

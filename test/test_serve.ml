@@ -156,6 +156,35 @@ let test_protocol_eof_and_truncation () =
     | exception Proto.Protocol_error _ -> true);
   Unix.close b
 
+(* A frame from a peer built against another payload layout must be
+   refused at the header, before its payload is Marshal-decoded into an
+   ill-typed value. *)
+let test_protocol_rejects_old_version () =
+  Alcotest.(check int) "current version" 2 Proto.version;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let payload =
+        Marshal.to_string { Proto.req = Proto.Ping; timeout_ms = None } []
+      in
+      let magic = "DCO3D-SERVE-V1" in
+      let m = String.length magic in
+      let frame = Bytes.create (m + 1 + 4 + 16 + String.length payload) in
+      Bytes.blit_string magic 0 frame 0 m;
+      Bytes.set_uint8 frame m 1;
+      Bytes.set_int32_be frame (m + 1) (Int32.of_int (String.length payload));
+      Bytes.blit_string (Digest.string payload) 0 frame (m + 5) 16;
+      Bytes.blit_string payload 0 frame (m + 21) (String.length payload);
+      Proto.write_all a frame 0 (Bytes.length frame);
+      match Proto.recv_request b with
+      | _ -> Alcotest.fail "a version-1 frame was decoded"
+      | exception Proto.Protocol_error msg ->
+          Alcotest.(check string) "names the version"
+            "unsupported protocol version 1" msg)
+
 let test_predict_key_content_only () =
   let rng = Rng.create 5 in
   let p = { Proto.f_bottom = rand_stack rng 6 6; f_top = rand_stack rng 6 6 } in
@@ -301,6 +330,37 @@ let test_load_rejects_incoherent_pair () =
           Alcotest.(check bool) "names divisibility" true
             (contains ~affix:"divisible" msg))
 
+(* Files of the retired "DCO3D-QPRED-V1" predictor format (that header
+   plus a Marshal'd resolution/scale pair) must be refused cleanly,
+   whether whole or cut short inside the magic. *)
+let test_load_rejects_retired_format () =
+  let path = tmp_name ".bin" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let refused what contents =
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc contents);
+        match Predictor.load path with
+        | _ -> Alcotest.failf "%s: loaded" what
+        | exception Predictor.Load_error _ -> ()
+      in
+      refused "whole header"
+        ("DCO3D-QPRED-V1" ^ Marshal.to_string (32, 1.0) []);
+      refused "bare magic" "DCO3D-QPRED-V1")
+
+(* The fingerprint of the seeded untrained CLI model ([dco3d serve] with
+   no --model: seed 42, 32x32, base width 8) is the model component of
+   every serve-cache, spill and route-pin key; it must not move. *)
+let test_cli_model_fingerprint_pinned () =
+  let net =
+    SiaUNet.create (Rng.create 42)
+      { SiaUNet.default_config with SiaUNet.base_channels = 8 }
+  in
+  Alcotest.(check string) "untrained CLI model fingerprint"
+    "3e2bb55c8f7ca84705c2af3ba3903925"
+    (Predictor.fingerprint { Predictor.net; input_hw = 32; label_scale = 1.0 })
+
 let test_load_rejects_wrong_channels () =
   (* Weights for a 5-channel network can never serve the 8-channel
      feature pipeline, even though they Marshal-decode fine. *)
@@ -330,7 +390,7 @@ let test_load_rejects_wrong_channels () =
 (* ------------------------------------------------------------------ *)
 
 let with_server ?(queue_capacity = 64) ?(max_batch = 8) ?(batch_linger_ms = 30.)
-    ?(cache_capacity = 128) ?(numeric = `F32) ?spill_dir ?(shard_id = 0)
+    ?(cache_capacity = 128) ?spill_dir ?(shard_id = 0)
     predictor f =
   let cfg =
     {
@@ -339,7 +399,6 @@ let with_server ?(queue_capacity = 64) ?(max_batch = 8) ?(batch_linger_ms = 30.)
       max_batch;
       batch_linger_ms;
       cache_capacity;
-      numeric;
       spill_dir;
       route_cache_dir = None;
       corpus_dir = None;
@@ -604,7 +663,6 @@ let test_e2e_drain_on_stop () =
       max_batch = 8;
       batch_linger_ms = 200.;
       cache_capacity = 16;
-      numeric = `F32;
       spill_dir = None;
       route_cache_dir = None;
       corpus_dir = None;
@@ -641,55 +699,8 @@ let test_e2e_drain_on_stop () =
   | _ -> Alcotest.fail "queued request must be served during drain"
 
 (* ------------------------------------------------------------------ *)
-(* Quantized serving and client retry                                  *)
+(* Client retry                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_fingerprint_numeric_distinct () =
-  (* Same weights, different numeric path: the serve cache key must not
-     alias int8 replies with float32 replies. *)
-  let predictor = mk_predictor 83 in
-  let fp_f32 = Predictor.fingerprint ~numeric:`F32 predictor in
-  let fp_i8 = Predictor.fingerprint ~numeric:`I8 predictor in
-  Alcotest.(check bool)
-    "f32 and i8 fingerprints differ" true (fp_f32 <> fp_i8);
-  Alcotest.(check string)
-    "f32 fingerprint stable" fp_f32
-    (Predictor.fingerprint ~numeric:`F32 predictor);
-  Alcotest.(check string)
-    "i8 fingerprint stable" fp_i8
-    (Predictor.fingerprint ~numeric:`I8 predictor);
-  Alcotest.(check string)
-    "default numeric is f32" fp_f32
-    (Predictor.fingerprint predictor)
-
-let test_e2e_quantized_serving () =
-  let predictor = mk_predictor 89 in
-  with_server ~numeric:`I8 predictor @@ fun srv ->
-  let c = Client.connect (Server.bound_addr srv) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let rng = Rng.create 97 in
-  let fb = rand_stack rng 7 9 and ft = rand_stack rng 7 9 in
-  match Client.predict c fb ft with
-  | Client.Ok { c_bottom; c_top; _ } ->
-      let eb, et = Predictor.predict ~numeric:`I8 predictor fb ft in
-      check_bits "quantized bottom" eb c_bottom;
-      check_bits "quantized top" et c_top;
-      let fb32, ft32 = Predictor.predict ~numeric:`F32 predictor fb ft in
-      (* Either die's map may saturate to the clamp floor on a given
-         fixture; the numeric paths must diverge somewhere across the
-         pair. *)
-      let differs = ref false in
-      let scan f32 i8 =
-        Array.iteri
-          (fun i v ->
-            if Int64.bits_of_float v <> Int64.bits_of_float i8.T.data.(i)
-            then differs := true)
-          f32.T.data
-      in
-      scan fb32 c_bottom;
-      scan ft32 c_top;
-      Alcotest.(check bool) "i8 reply is not the f32 reply" true !differs
-  | _ -> Alcotest.fail "quantized predict not served"
 
 let test_retry_overloaded_recovers () =
   let predictor = mk_predictor 101 in
@@ -789,6 +800,8 @@ let suites =
         Alcotest.test_case "rejects garbage" `Quick test_protocol_rejects_garbage;
         Alcotest.test_case "eof and truncation" `Quick
           test_protocol_eof_and_truncation;
+        Alcotest.test_case "rejects version 1 frames" `Quick
+          test_protocol_rejects_old_version;
         Alcotest.test_case "content-only cache key" `Quick
           test_predict_key_content_only;
       ] );
@@ -810,6 +823,8 @@ let suites =
           test_load_rejects_incoherent_pair;
         Alcotest.test_case "wrong channel count" `Quick
           test_load_rejects_wrong_channels;
+        Alcotest.test_case "retired format refused" `Quick
+          test_load_rejects_retired_format;
       ] );
     ( "serve e2e",
       [
@@ -826,9 +841,8 @@ let suites =
           test_bad_payload_does_not_kill_batcher;
         Alcotest.test_case "flow job lifecycle" `Quick test_e2e_flow_job;
         Alcotest.test_case "drain on stop" `Quick test_e2e_drain_on_stop;
-        Alcotest.test_case "numeric-distinct fingerprints" `Quick
-          test_fingerprint_numeric_distinct;
-        Alcotest.test_case "quantized serving" `Quick test_e2e_quantized_serving;
+        Alcotest.test_case "CLI model fingerprint pinned" `Quick
+          test_cli_model_fingerprint_pinned;
         Alcotest.test_case "retry recovers from overload" `Quick
           test_retry_overloaded_recovers;
         Alcotest.test_case "retry respects deadline" `Quick
