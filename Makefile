@@ -30,14 +30,23 @@ bench-log:
 # bit-identical results at DCO3D_JOBS=1 and DCO3D_JOBS=$(JOBS).  The
 # bench writes BENCH_kernels.digest (timing-free content digests of
 # every section's numeric output); the two runs' files must match.
+# The bench writes into the repo root, so the committed
+# BENCH_kernels.json / BENCH_kernels.digest baseline is saved under
+# $(LOGS) first and restored afterwards, whether the check passes or
+# fails.
 bench-deterministic:
 	dune build bench/main.exe
-	DCO3D_ONLY=kernels,route,predict DCO3D_JOBS=1 dune exec --no-build bench/main.exe > /dev/null
-	mv BENCH_kernels.digest BENCH_kernels.jobs1.digest
-	DCO3D_ONLY=kernels,route,predict DCO3D_JOBS=$(JOBS) dune exec --no-build bench/main.exe > /dev/null
-	sha256sum BENCH_kernels.jobs1.digest BENCH_kernels.digest
-	cmp BENCH_kernels.jobs1.digest BENCH_kernels.digest
-	@rm -f BENCH_kernels.jobs1.digest
+	mkdir -p $(LOGS)
+	cp BENCH_kernels.json BENCH_kernels.digest $(LOGS)/
+	DCO3D_ONLY=kernels,route,predict DCO3D_JOBS=1 dune exec --no-build bench/main.exe > /dev/null && \
+	mv BENCH_kernels.digest BENCH_kernels.jobs1.digest && \
+	DCO3D_ONLY=kernels,route,predict DCO3D_JOBS=$(JOBS) dune exec --no-build bench/main.exe > /dev/null && \
+	sha256sum BENCH_kernels.jobs1.digest BENCH_kernels.digest && \
+	cmp BENCH_kernels.jobs1.digest BENCH_kernels.digest; \
+	STATUS=$$?; \
+	cp $(LOGS)/BENCH_kernels.json $(LOGS)/BENCH_kernels.digest .; \
+	rm -f BENCH_kernels.jobs1.digest; \
+	[ $$STATUS -eq 0 ] || { echo "bench-deterministic: FAILED"; exit 1; }
 	@echo "bench-deterministic: OK (DCO3D_JOBS=1 == DCO3D_JOBS=$(JOBS))"
 
 # Performance regression gate: regenerate BENCH_kernels.json at
@@ -60,12 +69,17 @@ perfbench-selftest:
 
 # End-to-end daemon smoke: start `dco3d serve` (untrained model), fire
 # predict requests (the repeats must hit the result cache), run a tiny
-# flow job through the async job queue, then drain with SIGTERM.  The
-# daemon writes its stage profile to $(LOGS)/serve-profile.txt at exit.
+# flow as a corpus PPA cell through the async job queue (its matrix
+# digest must equal a local run of the same cell), then drain with
+# SIGTERM.  The daemon writes its stage profile to
+# $(LOGS)/serve-profile.txt at exit.
 serve-smoke:
 	dune build bin/dco3d.exe
 	mkdir -p $(LOGS)
 	rm -f $(LOGS)/serve-smoke.sock $(LOGS)/serve-profile.txt
+	dune exec --no-build bin/dco3d.exe -- corpus --matrix \
+	  --designs dma --configs base --scale 0.02 --gcell 12 \
+	  | tee $(LOGS)/serve-corpus-local.log
 	DCO3D_PROFILE=$(LOGS)/serve-profile.txt \
 	  dune exec --no-build bin/dco3d.exe -- serve --socket $(LOGS)/serve-smoke.sock \
 	  > $(LOGS)/serve-smoke.log 2>&1 & \
@@ -76,14 +90,18 @@ serve-smoke:
 	dune exec --no-build bin/dco3d.exe -- client predict --socket $(LOGS)/serve-smoke.sock \
 	  -s 0.05 --gcell 16 --repeat 3 | tee $(LOGS)/serve-predict.log && \
 	grep -q "cache hit" $(LOGS)/serve-predict.log && \
-	dune exec --no-build bin/dco3d.exe -- client flow --socket $(LOGS)/serve-smoke.sock \
-	  -d DMA -s 0.02 --gcell 12 && \
+	dune exec --no-build bin/dco3d.exe -- corpus --matrix --socket $(LOGS)/serve-smoke.sock \
+	  --designs dma --configs base --scale 0.02 --gcell 12 \
+	  | tee $(LOGS)/serve-corpus.log && \
 	dune exec --no-build bin/dco3d.exe -- client stats --socket $(LOGS)/serve-smoke.sock && \
 	kill -TERM $$SERVE_PID && wait $$SERVE_PID; \
 	STATUS=$$?; cat $(LOGS)/serve-smoke.log; \
 	[ $$STATUS -eq 0 ] && [ -f $(LOGS)/serve-profile.txt ] && \
 	  grep -q "serve/batch " $(LOGS)/serve-profile.txt && \
-	  grep -q "serve/flow_job" $(LOGS)/serve-profile.txt && \
+	  grep -q "serve/corpus_job" $(LOGS)/serve-profile.txt && \
+	  D_LOCAL=$$(grep "corpus matrix:" $(LOGS)/serve-corpus-local.log) && \
+	  D_SERVED=$$(grep "corpus matrix:" $(LOGS)/serve-corpus.log) && \
+	  [ -n "$$D_LOCAL" ] && [ "$$D_LOCAL" = "$$D_SERVED" ] && \
 	  grep -q "serve/cache_hit" $(LOGS)/serve-profile.txt && \
 	  grep -q "serve/requests" $(LOGS)/serve-profile.txt && \
 	  grep -q "drained and stopped" $(LOGS)/serve-smoke.log && \

@@ -741,7 +741,7 @@ let serve_cmd =
       | Some path -> Predictor.load path
       | None ->
           (* No trained weights: serve a freshly initialized network.
-             Exercises the full daemon (batching, caching, flow jobs)
+             Exercises the full daemon (batching, caching, corpus jobs)
              without a training run — what the CI smoke test uses. *)
           untrained_predictor ~seed ~input_hw
     in
@@ -874,7 +874,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the persistent inference/flow daemon: load the model \
              once, micro-batch concurrent predict requests, cache \
-             results, run flow jobs asynchronously.  SIGTERM/SIGINT \
+             results, run corpus PPA cells and dataset builds \
+             asynchronously.  SIGTERM/SIGINT \
              drain and stop.  With $(b,--shard-of) it runs as one shard \
              of a balanced fleet instead.")
     Term.(
@@ -1122,24 +1123,6 @@ let client_cmd =
           | Client.Disconnected ->
               Printf.printf "predict %d/%d: disconnected\n" i repeat
         done
-    | `Flow ->
-        let spec =
-          {
-            Proto.fl_design = design;
-            fl_scale = scale;
-            fl_seed = seed;
-            fl_gcell = gcell;
-            fl_variant = Proto.Pin3d;
-          }
-        in
-        let id = Client.submit_flow c spec in
-        Printf.printf "job %d accepted, polling...\n%!" id;
-        let s = Client.wait_flow c id in
-        Printf.printf
-          "%s: overflow %d, WL %.1f um, WNS %.1f ps, TNS %.1f ps, power \
-           %.2f mW\n"
-          s.Proto.fs_name s.Proto.fs_overflow s.Proto.fs_wirelength_um
-          s.Proto.fs_wns_ps s.Proto.fs_tns_ps s.Proto.fs_power_mw
   in
   let action_t =
     Arg.(
@@ -1151,11 +1134,10 @@ let client_cmd =
                   ("ping", `Ping);
                   ("stats", `Stats);
                   ("predict", `Predict);
-                  ("flow", `Flow);
                 ]))
           None
       & info [] ~docv:"ACTION"
-          ~doc:"$(b,ping), $(b,stats), $(b,predict) (build features for            --design locally, request congestion maps) or $(b,flow)            (submit a flow job and poll it).")
+          ~doc:"$(b,ping), $(b,stats) or $(b,predict) (build features            for --design locally, request congestion maps).  Flow jobs            run as corpus PPA cells: $(b,dco3d corpus --matrix --socket).")
   in
   let repeat_t =
     Arg.(

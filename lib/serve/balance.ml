@@ -16,7 +16,8 @@
    model — so clients that never hello always get results
    bit-identical to a direct [Predictor.predict] with that model:
    [Predict]s by hash affinity on their predict key (cache locality
-   across connections), everything else round-robin.  While that group
+   across connections), [Corpus_submit]s by design affinity, everything
+   else round-robin.  While that group
    is momentarily empty (startup, mid-swap) default traffic gets
    [Overloaded] rather than a foreign-fingerprint shard; [Client.retry]
    rides through.
@@ -283,24 +284,17 @@ let pick_slot t (env : P.envelope) = (* t.m held *)
           let n = List.length group in
           let h = Hashtbl.hash (P.predict_key payload) in
           Some (List.nth group (h mod n)))
-  | P.Flow_submit spec -> (
+  | P.Corpus_submit req -> (
       (* Design affinity: all jobs on one design land on one shard of
-         the primary group, so its flow worker's route cache and warm
+         the primary group, so its job worker's route cache and warm
          state concentrate per design instead of every shard routing
          every design. *)
       match primary_group t with
       | [] -> None
       | group ->
-          let h = Hashtbl.hash spec.P.fl_design in
-          Some (List.nth group (h mod List.length group)))
-  | P.Corpus_submit req -> (
-      (* Same per-design affinity for the corpus class. *)
-      match primary_group t with
-      | [] -> None
-      | group ->
           let h = Hashtbl.hash req.P.cr_spec.Dco3d_corpus.Corpus.sp_name in
           Some (List.nth group (h mod List.length group)))
-  | P.Ping | P.Stats | P.Flow_poll _ | P.Corpus_poll _ ->
+  | P.Ping | P.Stats | P.Corpus_poll _ ->
       (* Job polls are connection-scoped: submit and poll travel on one
          connection, which lives on one shard, so round-robin is safe. *)
       round_robin t (primary_group t)

@@ -3,24 +3,14 @@ type predict_payload = {
   f_top : Dco3d_tensor.Tensor.t;
 }
 
-type flow_variant = Pin3d | Pin3d_cong
-
-type flow_spec = {
-  fl_design : string;
-  fl_scale : float;
-  fl_seed : int;
-  fl_gcell : int;
-  fl_variant : flow_variant;
-}
-
 (* What a client asks the balancer to route it to: any live shard, or one
    serving exactly this model fingerprint. *)
 type route_want =
   | Want_any
   | Want_fingerprint of string
 
-(* The third async request class: corpus PPA cells and corpus dataset
-   builds, keyed on disk by (netlist digest, flow config, seed). *)
+(* The one async job class: corpus PPA cells and corpus dataset builds,
+   keyed on disk by (netlist digest, flow config, seed). *)
 type corpus_kind =
   | Corpus_ppa
   | Corpus_dataset of int  (* n_samples *)
@@ -36,29 +26,12 @@ type corpus_req = {
 type request =
   | Ping
   | Predict of predict_payload
-  | Flow_submit of flow_spec
-  | Flow_poll of int
   | Stats
   | Hello of route_want
   | Corpus_submit of corpus_req
   | Corpus_poll of int
 
 type envelope = { req : request; timeout_ms : float option }
-
-type flow_summary = {
-  fs_name : string;
-  fs_overflow : int;
-  fs_wirelength_um : float;
-  fs_wns_ps : float;
-  fs_tns_ps : float;
-  fs_power_mw : float;
-}
-
-type job_status =
-  | Job_queued
-  | Job_running
-  | Job_done of flow_summary
-  | Job_failed of string
 
 type corpus_result =
   | Corpus_row of Dco3d_corpus.Corpus.row
@@ -82,7 +55,6 @@ type reply =
       cache_hit : bool;
     }
   | Accepted of int
-  | Status of job_status
   | Stats_reply of (string * float) list
   | Overloaded of { queue_len : int; capacity : int }
   | Timed_out
@@ -97,8 +69,10 @@ let magic = "DCO3D-SERVE-V1"
 (* Bumped whenever a payload type changes shape: a peer built against
    another layout would Marshal-decode an ill-typed value, so it must be
    refused at the header instead.  Version 2 changed the [route_want],
-   [Hello_reply] and [shard_hello] layouts. *)
-let version = 2
+   [Hello_reply] and [shard_hello] layouts; version 3 removed the flow
+   job requests and their [Status] reply, which shifted the Marshal
+   tags of every later constructor. *)
+let version = 3
 let precision = "f32"
 let max_frame_bytes = 256 * 1024 * 1024
 let header_bytes = String.length magic + 1 + 4 + 16

@@ -19,22 +19,13 @@ type predict_payload = {
   f_top : Dco3d_tensor.Tensor.t;
 }
 
-type flow_variant = Pin3d | Pin3d_cong
-
-type flow_spec = {
-  fl_design : string;  (** benchmark name, e.g. "DMA" *)
-  fl_scale : float;
-  fl_seed : int;
-  fl_gcell : int;
-  fl_variant : flow_variant;
-}
-
 type route_want =
   | Want_any  (** any live shard *)
   | Want_fingerprint of string  (** a shard with exactly this model fingerprint *)
 
-(** The third async request class: corpus PPA cells and corpus dataset
-    builds, deduped in-flight by {!corpus_key} and cached on disk by
+(** The daemon's one async job class: corpus PPA cells (one design x
+    one flow config -> one PPA row) and corpus dataset builds, deduped
+    in-flight by {!corpus_key} and cached on disk by
     [(netlist digest, flow config, seed)]. *)
 type corpus_kind =
   | Corpus_ppa  (** run the full flow, report the PPA row *)
@@ -52,8 +43,6 @@ type corpus_req = {
 type request =
   | Ping
   | Predict of predict_payload
-  | Flow_submit of flow_spec
-  | Flow_poll of int
   | Stats
   | Hello of route_want
       (** optional first request on a balanced connection: pins the
@@ -68,21 +57,6 @@ type envelope = {
       (** per-request deadline, measured by the server from arrival;
           a request still queued past it is answered [Timed_out] *)
 }
-
-type flow_summary = {
-  fs_name : string;
-  fs_overflow : int;
-  fs_wirelength_um : float;
-  fs_wns_ps : float;
-  fs_tns_ps : float;
-  fs_power_mw : float;
-}
-
-type job_status =
-  | Job_queued
-  | Job_running
-  | Job_done of flow_summary
-  | Job_failed of string
 
 type corpus_result =
   | Corpus_row of Dco3d_corpus.Corpus.row
@@ -105,8 +79,7 @@ type reply =
       c_top : Dco3d_tensor.Tensor.t;
       cache_hit : bool;
     }
-  | Accepted of int  (** flow job id *)
-  | Status of job_status
+  | Accepted of int  (** corpus job id, answer to [Corpus_submit] *)
   | Stats_reply of (string * float) list
   | Overloaded of { queue_len : int; capacity : int }
       (** backpressure: the predict queue is past its high-water mark *)
@@ -114,9 +87,7 @@ type reply =
   | Server_error of string
   | Hello_reply of { h_fingerprint : string; h_shard : int }
       (** answer to [Hello]: which shard the connection landed on *)
-  | Corpus_status of corpus_status
-      (** answer to [Corpus_submit] is [Accepted id]; this answers
-          [Corpus_poll] *)
+  | Corpus_status of corpus_status  (** answer to [Corpus_poll] *)
 
 exception Protocol_error of string
 (** Bad magic, unsupported version, oversized frame, or digest

@@ -64,9 +64,6 @@ type stats_acc = {
   mutable n_batches : int;
   mutable max_batch_seen : int;
   mutable n_epipe : int;
-  mutable jobs_submitted : int;
-  mutable jobs_done : int;
-  mutable jobs_failed : int;
   mutable n_spill_hits : int;
   mutable n_spill_writes : int;
   mutable corpus_submitted : int;
@@ -90,12 +87,9 @@ type t = {
   (* All mutable server state below is guarded by [m]. *)
   m : Mutex.t;
   queue_cv : Condition.t;  (* batcher wakeup *)
-  flow_cv : Condition.t;  (* flow-worker wakeup *)
-  corpus_cv : Condition.t;  (* corpus-worker wakeup *)
+  corpus_cv : Condition.t;  (* job-worker wakeup *)
   queue : pending Queue.t;
   cache : (T.t * T.t) Lru.t;
-  jobs : (int, P.job_status) Hashtbl.t;
-  flow_queue : (int * P.flow_spec) Queue.t;
   corpus_jobs : (int, P.corpus_status) Hashtbl.t;
   corpus_queue : (int * string * P.corpus_req) Queue.t;  (* id, dedup key *)
   (* dedup key -> job id for queued/running corpus jobs: a duplicate
@@ -107,7 +101,6 @@ type t = {
   stats : stats_acc;
   mutable accept_thread : Thread.t option;
   mutable batcher_thread : Thread.t option;
-  mutable flow_thread : Thread.t option;
   mutable corpus_thread : Thread.t option;
   mutable handler_threads : Thread.t list;
 }
@@ -261,78 +254,7 @@ let batcher_loop t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Flow worker                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_flow_spec ?route_cache (spec : P.flow_spec) =
-  let profile = Dco3d_netlist.Generator.profile spec.P.fl_design in
-  let nl = Dco3d_netlist.Generator.generate ~scale:spec.P.fl_scale ~seed:spec.P.fl_seed profile in
-  let ctx =
-    Dco3d_flow.Flow.make_context ~seed:spec.P.fl_seed ~gcell_nx:spec.P.fl_gcell
-      ~gcell_ny:spec.P.fl_gcell ?route_cache nl
-  in
-  let result =
-    match spec.P.fl_variant with
-    | P.Pin3d -> Dco3d_flow.Flow.run_pin3d ctx
-    | P.Pin3d_cong -> Dco3d_flow.Flow.run_pin3d_cong ctx
-  in
-  {
-    P.fs_name = result.Dco3d_flow.Flow.flow_name;
-    fs_overflow = result.place_stage.overflow;
-    fs_wirelength_um = result.signoff.wirelength_um;
-    fs_wns_ps = result.signoff.wns_ps;
-    fs_tns_ps = result.signoff.tns_ps;
-    fs_power_mw = result.signoff.power_mw;
-  }
-
-let flow_loop t =
-  (* Shards pass one shared directory, so repeated sweeps and sibling
-     daemons replay each other's routed corpus (Framing's temp+rename
-     writes make concurrent producers safe). *)
-  let route_cache =
-    Option.map
-      (fun d -> Dco3d_route.Route_cache.create d)
-      t.cfg.route_cache_dir
-  in
-  let running = ref true in
-  while !running do
-    let job =
-      locked t (fun () ->
-          while Queue.is_empty t.flow_queue && not t.stopping do
-            Condition.wait t.flow_cv t.m
-          done;
-          if Queue.is_empty t.flow_queue then begin
-            running := false;
-            None
-          end
-          else Some (Queue.pop t.flow_queue))
-    in
-    match job with
-    | None -> ()
-    | Some (id, spec) ->
-        locked t (fun () -> Hashtbl.replace t.jobs id P.Job_running);
-        let status =
-          try
-            let summary =
-              Obs.with_span "serve/flow_job"
-                ~args:[ ("design", spec.P.fl_design) ]
-                (fun () -> run_flow_spec ?route_cache spec)
-            in
-            P.Job_done summary
-          with
-          | Not_found ->
-              P.Job_failed (Printf.sprintf "unknown design %S" spec.P.fl_design)
-          | e -> P.Job_failed (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.replace t.jobs id status;
-            match status with
-            | P.Job_done _ -> t.stats.jobs_done <- t.stats.jobs_done + 1
-            | _ -> t.stats.jobs_failed <- t.stats.jobs_failed + 1)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Corpus worker                                                       *)
+(* Job worker: corpus PPA cells and dataset builds                     *)
 (* ------------------------------------------------------------------ *)
 
 module Corpus = Dco3d_corpus.Corpus
@@ -358,9 +280,12 @@ let run_corpus_req ?store ?route_cache (req : P.corpus_req) =
         }
 
 let corpus_loop t =
-  (* The PPA store sits next to the route cache (one layout corpus per
-     fleet): an explicit --corpus-cache wins, else <route cache>/corpus,
-     else no persistence (jobs still run). *)
+  (* Shards pass one shared directory, so repeated sweeps and sibling
+     daemons replay each other's routed corpus (Framing's temp+rename
+     writes make concurrent producers safe).  The PPA store sits next
+     to the route cache (one layout corpus per fleet): an explicit
+     --corpus-cache wins, else <route cache>/corpus, else no
+     persistence (jobs still run). *)
   let route_cache =
     Option.map
       (fun d -> Dco3d_route.Route_cache.create d)
@@ -437,9 +362,6 @@ let stats_snapshot t =
         ("batches", float_of_int s.n_batches);
         ("max_batch", float_of_int s.max_batch_seen);
         ("epipe", float_of_int s.n_epipe);
-        ("jobs_submitted", float_of_int s.jobs_submitted);
-        ("jobs_done", float_of_int s.jobs_done);
-        ("jobs_failed", float_of_int s.jobs_failed);
         ("spill_hits", float_of_int s.n_spill_hits);
         ("spill_writes", float_of_int s.n_spill_writes);
         ("corpus_submitted", float_of_int s.corpus_submitted);
@@ -542,25 +464,6 @@ let handle_request t (env : P.envelope) =
   | P.Ping -> P.Pong
   | P.Stats -> P.Stats_reply (stats_snapshot t)
   | P.Predict payload -> handle_predict t payload env.P.timeout_ms
-  | P.Flow_submit spec ->
-      let id =
-        locked t (fun () ->
-            if t.stopping then -1
-            else begin
-              let id = t.next_job_id in
-              t.next_job_id <- id + 1;
-              Hashtbl.replace t.jobs id P.Job_queued;
-              Queue.push (id, spec) t.flow_queue;
-              t.stats.jobs_submitted <- t.stats.jobs_submitted + 1;
-              Condition.signal t.flow_cv;
-              id
-            end)
-      in
-      if id < 0 then P.Server_error "server shutting down" else P.Accepted id
-  | P.Flow_poll id -> (
-      match locked t (fun () -> Hashtbl.find_opt t.jobs id) with
-      | Some status -> P.Status status
-      | None -> P.Server_error (Printf.sprintf "unknown job id %d" id))
   | P.Hello _ ->
       (* Normally consumed by the balancer; answered here too so a
          client talking straight to a shard gets the same handshake. *)
@@ -732,12 +635,9 @@ let make ~listen ~bound cfg predictor =
       started_at = now ();
       m = Mutex.create ();
       queue_cv = Condition.create ();
-      flow_cv = Condition.create ();
       corpus_cv = Condition.create ();
       queue = Queue.create ();
       cache = Lru.create ~capacity:cfg.cache_capacity;
-      jobs = Hashtbl.create 16;
-      flow_queue = Queue.create ();
       corpus_jobs = Hashtbl.create 16;
       corpus_queue = Queue.create ();
       corpus_inflight = Hashtbl.create 16;
@@ -754,9 +654,6 @@ let make ~listen ~bound cfg predictor =
           n_batches = 0;
           max_batch_seen = 0;
           n_epipe = 0;
-          jobs_submitted = 0;
-          jobs_done = 0;
-          jobs_failed = 0;
           n_spill_hits = 0;
           n_spill_writes = 0;
           corpus_submitted = 0;
@@ -766,7 +663,6 @@ let make ~listen ~bound cfg predictor =
         };
       accept_thread = None;
       batcher_thread = None;
-      flow_thread = None;
       corpus_thread = None;
       handler_threads = [];
     }
@@ -787,7 +683,6 @@ let make ~listen ~bound cfg predictor =
       t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listen_fd) ()))
     listen;
   t.batcher_thread <- Some (Thread.create (fun () -> batcher_loop t) ());
-  t.flow_thread <- Some (Thread.create (fun () -> flow_loop t) ());
   t.corpus_thread <- Some (Thread.create (fun () -> corpus_loop t) ());
   t
 
@@ -808,7 +703,6 @@ let request_stop t =
         else begin
           t.stopping <- true;
           Condition.broadcast t.queue_cv;
-          Condition.broadcast t.flow_cv;
           Condition.broadcast t.corpus_cv;
           true
         end)
@@ -828,11 +722,10 @@ let wait t =
          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
          with Unix.Unix_error _ -> ());
   (* The batcher drains the remaining queue before exiting (its loop
-     only stops on [stopping && queue empty]); same for the flow
+     only stops on [stopping && queue empty]); same for the job
      worker.  Handlers waiting on pending outcomes therefore finish. *)
   Option.iter Thread.join t.batcher_thread;
   List.iter Thread.join (locked t (fun () -> t.handler_threads));
-  Option.iter Thread.join t.flow_thread;
   Option.iter Thread.join t.corpus_thread;
   (* Flush the surviving hot set so a successor process starts warm —
      eviction only spilled the overflow; this writes what's resident. *)

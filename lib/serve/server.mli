@@ -14,13 +14,13 @@
        {!Dco3d_core.Predictor.predict_batch} forward pass for the whole
        batch — bit-identical to per-request [predict], so batching is
        invisible to clients;}
-    {- a {b flow worker} that runs submitted flow jobs one at a time;
-       clients poll them by job id;}
-    {- a {b corpus worker} that runs the third async request class —
-       corpus PPA cells and corpus dataset builds — deduped in-flight
-       by {!Protocol.corpus_key} and cached on disk through
+    {- one {b job worker} that runs the async job class — corpus PPA
+       cells (a full flow on one design x one flow config) and corpus
+       dataset builds — one at a time, deduped in-flight by
+       {!Protocol.corpus_key} and cached on disk through
        {!Dco3d_corpus.Corpus.Store} next to the route cache, so a
-       whole fleet shares one evaluated corpus.}}
+       whole fleet shares one evaluated corpus; clients poll jobs by
+       id.}}
 
     Results are cached in an {!Lru} keyed by
     [Protocol.predict_key ^ ":" ^ Predictor.fingerprint], so a repeated
@@ -36,7 +36,7 @@
     Observability: [serve/queue_depth] gauge, [serve/batch_size]
     histogram, [serve/cache_hit]/[serve/cache_miss]/[serve/overloaded]/
     [serve/timeout]/[serve/epipe]/[serve/corpus_dedup] counters, and
-    [serve/batch] / [serve/flow_job] / [serve/corpus_job] spans, all
+    [serve/batch] / [serve/corpus_job] spans, all
     through {!Dco3d_obs.Obs}. *)
 
 type address =
@@ -56,7 +56,7 @@ type config = {
           and cache misses read through the spill before running the
           forward pass — restarts keep the hot set (default [None]) *)
   route_cache_dir : string option;
-      (** when set, the async flow jobs route through a
+      (** when set, the async corpus jobs route through a
           content-addressed {!Dco3d_route.Route_cache} rooted here;
           shards given the same directory share one routed corpus
           (default [None]) *)
@@ -86,7 +86,7 @@ val start : config -> Dco3d_core.Predictor.t -> t
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val start_detached : config -> Dco3d_core.Predictor.t -> t
-(** Like {!start} but binds no listening socket: the batcher, flow
+(** Like {!start} but binds no listening socket: the batcher, job
     worker, cache, and spill all run, and connections arrive only via
     {!adopt_connection}.  This is the shard-side server behind the
     fd-passing balancer. *)
@@ -114,7 +114,7 @@ val request_stop : t -> unit
 val wait : t -> unit
 (** Block until shutdown completes: live connections are shut down,
     the queued predict requests are drained (each gets its reply or
-    [Timed_out]), queued flow jobs finish, and the socket is closed
+    [Timed_out]), queued corpus jobs finish, and the socket is closed
     (and unlinked, for a Unix-domain path). *)
 
 val stop : t -> unit
@@ -122,4 +122,5 @@ val stop : t -> unit
 
 val stats : t -> (string * float) list
 (** The same snapshot served to [Stats] requests: queue depth, cache
-    occupancy and hit/miss totals, batch counts, job counts, uptime. *)
+    occupancy and hit/miss totals, batch counts, corpus job counts,
+    uptime. *)

@@ -1,7 +1,7 @@
 (* dco3d.serve fleet: LRU eviction hooks, persistent spill framing,
    warm restarts from spill, self-pipe stop latency, and process-level
    balancer failure paths (shard crash mid-stream, drain-while-serving,
-   fingerprint routing) against real [dco3d serve --shard-of]
+   fingerprint routing, corpus design affinity) against real [dco3d serve --shard-of]
    children. *)
 
 module T = Dco3d_tensor.Tensor
@@ -504,6 +504,30 @@ let test_fleet_crash_drain_spill () =
   check_bits "post-roll top" et pt;
   Client.close c3
 
+(* [Corpus_submit] routes by design affinity: two fresh connections
+   whose first frame submits a job on the same design land on the same
+   shard of the primary group (round-robin would alternate them). *)
+let test_fleet_corpus_affinity () =
+  with_fleet ~seed_of:(fun _ -> 7) ~input_hw:16 2 @@ fun _b addr ->
+  let req =
+    {
+      Proto.cr_spec =
+        Dco3d_corpus.Corpus.spec ~name:"DMA" ~scale:0.02 ~seed:5 "DMA";
+      cr_config = Dco3d_corpus.Corpus.flow_config ~gcell:8 "base";
+      cr_kind = Proto.Corpus_ppa;
+    }
+  in
+  let landed () =
+    let c = Client.connect addr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    ignore (Client.submit_corpus c req : int);
+    match List.assoc_opt "shard_id" (Client.stats c) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "stats lack shard_id"
+  in
+  let first = landed () in
+  Alcotest.(check int) "same design, same shard" first (landed ())
+
 let suites =
   [
     ( "balance lru hooks",
@@ -534,5 +558,7 @@ let suites =
           test_fleet_routing_and_bits;
         Alcotest.test_case "crash, drain, spill warm restart" `Quick
           test_fleet_crash_drain_spill;
+        Alcotest.test_case "corpus submit design affinity" `Quick
+          test_fleet_corpus_affinity;
       ] );
   ]

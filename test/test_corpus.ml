@@ -12,9 +12,10 @@
      included);
    - the caches are bounded: LRU-by-mtime eviction past the cap, with
      corrupt survivors aging out like live entries;
-   - the serving tier replays a corpus cell bit-identically, dedupes
-     identical in-flight requests, and answers repeats from the store
-     without re-running the flow. *)
+   - the serving tier replays a corpus cell bit-identically (a served
+     flow job equals a direct Pin-3D run), dedupes identical in-flight
+     requests, answers repeats from the store without re-running the
+     flow, and survives failing jobs. *)
 
 module Gen = Dco3d_netlist.Generator
 module Fp = Dco3d_place.Floorplan
@@ -24,6 +25,7 @@ module R = Dco3d_route.Router
 module Rc = Dco3d_route.Route_cache
 module Framing = Dco3d_framing.Framing
 module Corpus = Dco3d_corpus.Corpus
+module Flow = Dco3d_flow.Flow
 module Dataset = Dco3d_core.Dataset
 module Obs = Dco3d_obs.Obs
 module Rng = Dco3d_tensor.Rng
@@ -371,6 +373,66 @@ let test_served_dataset_build () =
       Alcotest.(check string) "served build == local build" local cd_digest
   | Proto.Corpus_row _ -> Alcotest.fail "unexpected PPA-row reply"
 
+(* A flow job is one corpus PPA cell.  The served row must carry exactly
+   what a direct Pin-3D run on [Generator.generate] + [Flow.make_context]
+   of the same inputs reports (overflow, WL, WNS, TNS, power bit-equal);
+   a job on an unknown base fails without taking the daemon down, and an
+   unknown job id is refused. *)
+let test_served_flow_job () =
+  let spec = Corpus.spec ~name:"DMA" ~scale:0.02 ~seed:5 "DMA" in
+  let cfg = Corpus.flow_config ~gcell:10 "base" in
+  let direct =
+    let nl = Gen.generate ~scale:0.02 ~seed:5 (Gen.profile "DMA") in
+    Flow.run_pin3d (Flow.make_context ~seed:5 ~gcell_nx:10 ~gcell_ny:10 nl)
+  in
+  with_corpus_server @@ fun srv ->
+  let c = Client.connect (Server.bound_addr srv) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let rec settle id =
+    match Client.poll_corpus c id with
+    | Proto.Corpus_queued | Proto.Corpus_running ->
+        Thread.delay 0.01;
+        settle id
+    | s -> s
+  in
+  let ppa s = { Proto.cr_spec = s; cr_config = cfg; cr_kind = Proto.Corpus_ppa } in
+  let bad =
+    Client.submit_corpus c
+      (ppa (Corpus.spec ~name:"no-such-design" "no-such-design"))
+  in
+  (match settle bad with
+  | Proto.Corpus_failed msg ->
+      Alcotest.(check bool) "failure names the base" true
+        (Test_serve.contains ~affix:"no-such-design" msg)
+  | _ -> Alcotest.fail "unknown base must fail");
+  Client.ping c;
+  let id = Client.submit_corpus c (ppa spec) in
+  (* submission returns at once; the connection stays free meanwhile *)
+  Client.ping c;
+  let row =
+    match Client.wait_corpus c id with
+    | Proto.Corpus_row r -> r
+    | Proto.Corpus_dataset_built _ -> Alcotest.fail "unexpected dataset reply"
+  in
+  let bits = Int64.bits_of_float in
+  let so = direct.Flow.signoff in
+  Alcotest.(check int) "overflow" direct.Flow.place_stage.overflow
+    row.Corpus.r_overflow;
+  List.iter
+    (fun (name, want, got) ->
+      Alcotest.(check int64) name (bits want) (bits got))
+    [
+      ("wirelength", so.wirelength_um, row.Corpus.r_wirelength_um);
+      ("wns", so.wns_ps, row.Corpus.r_wns_ps);
+      ("tns", so.tns_ps, row.Corpus.r_tns_ps);
+      ("power", so.power_mw, row.Corpus.r_power_mw);
+    ];
+  Alcotest.(check (float 0.)) "corpus_failed" 1. (stat srv "corpus_failed");
+  Alcotest.(check (float 0.)) "corpus_done" 1. (stat srv "corpus_done");
+  match Client.poll_corpus c (id + 999) with
+  | _ -> Alcotest.fail "unknown job id must be refused"
+  | exception Client.Error _ -> ()
+
 let test_corpus_key_identity () =
   let req =
     { Proto.cr_spec = tiny_spec; cr_config = tiny_cfg; cr_kind = Proto.Corpus_ppa }
@@ -410,6 +472,8 @@ let suites =
           `Quick test_served_replay_dedup_and_store;
         Alcotest.test_case "served dataset build" `Quick
           test_served_dataset_build;
+        Alcotest.test_case "served flow job lifecycle" `Quick
+          test_served_flow_job;
         Alcotest.test_case "corpus request key" `Quick test_corpus_key_identity;
       ] );
   ]
