@@ -166,21 +166,24 @@ thermal-smoke:
 	DCO3D_JOBS=$(JOBS) dune exec --no-build bin/dco3d.exe -- thermal --check
 	@echo "thermal-smoke: OK"
 
-# Incremental-routing smoke: `dco3d route --warm-check` perturbs the
-# DMA placement, re-routes it cold and warm-started, and fails unless
+# Incremental-routing smoke: the bench's `route_warm` row perturbs the
+# DMA placement, re-routes it cold and warm-started, and exits 1 unless
 # the warm start reused paths (route/warm/reused > 0), won >= 2x wall
 # clock, and matched the cold route's overflow/wirelength within 5%.
-# Run at DCO3D_JOBS=1 and $(JOBS); the warm result digest printed by
-# the gate must be identical across the two legs.
+# Run at DCO3D_JOBS=1 and $(JOBS); the warm digest the row prints must
+# be identical across the two legs.  The bench writes its files into
+# the cwd, so each leg runs in its own directory under $(LOGS).
+WARM_BENCH := DCO3D_ONLY=route $(CURDIR)/_build/default/bench/main.exe
 warm-smoke:
-	dune build bin/dco3d.exe
-	mkdir -p $(LOGS)
-	DCO3D_JOBS=1 dune exec --no-build bin/dco3d.exe -- route --warm-check \
-	  | tee $(LOGS)/warm-smoke.jobs1.log
-	DCO3D_JOBS=$(JOBS) dune exec --no-build bin/dco3d.exe -- route --warm-check \
-	  | tee $(LOGS)/warm-smoke.jobsN.log
-	@D1=$$(grep "warm digest" $(LOGS)/warm-smoke.jobs1.log); \
-	DN=$$(grep "warm digest" $(LOGS)/warm-smoke.jobsN.log); \
+	dune build bench/main.exe
+	mkdir -p $(LOGS)/warm-jobs1 $(LOGS)/warm-jobsN
+	cd $(LOGS)/warm-jobs1 && DCO3D_JOBS=1 $(WARM_BENCH) > warm-smoke.log \
+	  || { cat warm-smoke.log; echo "warm-smoke: FAILED (DCO3D_JOBS=1)"; exit 1; }
+	cd $(LOGS)/warm-jobsN && DCO3D_JOBS=$(JOBS) $(WARM_BENCH) > warm-smoke.log \
+	  || { cat warm-smoke.log; echo "warm-smoke: FAILED (DCO3D_JOBS=$(JOBS))"; exit 1; }
+	@cat $(LOGS)/warm-jobs1/warm-smoke.log $(LOGS)/warm-jobsN/warm-smoke.log
+	@D1=$$(grep "warm digest" $(LOGS)/warm-jobs1/warm-smoke.log); \
+	DN=$$(grep "warm digest" $(LOGS)/warm-jobsN/warm-smoke.log); \
 	[ -n "$$D1" ] && [ "$$D1" = "$$DN" ] || \
 	  { echo "warm-smoke: FAILED (digest differs between DCO3D_JOBS=1 and $(JOBS))"; exit 1; }
 	@echo "warm-smoke: OK"

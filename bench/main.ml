@@ -823,12 +823,11 @@ let kernels () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Route benchmark: sequential vs parallel repair waves                 *)
+(* Route benchmark: cold route and warm-started re-route               *)
 (* ------------------------------------------------------------------ *)
 
 let route_bench () =
-  section "Route benchmark (sequential vs parallel repair waves)";
-  let target_jobs = Pool.jobs () in
+  section "Route benchmark (cold route and warm-started re-route)";
   let e = env_of (List.hd designs) in
   let r = pin3d_of e in
   let p = r.Flow.placement in
@@ -838,86 +837,69 @@ let route_bench () =
     Printf.sprintf "%s, %dx%dx2 gcells" e.name fp.P.Floorplan.gcell_nx
       fp.P.Floorplan.gcell_ny
   in
-  let effective = Pool.effective_jobs () in
-  Printf.printf "  jobs: sequential=1 parallel=%d (effective %d of %d cores)\n"
-    target_jobs effective
-    (Domain.recommended_domain_count ());
   let reps = max 3 (env_int "DCO3D_BENCH_REPS" 3) in
-  let run () = Router.route ~config:cfg p in
-  Pool.set_jobs 1;
-  let seq_t, seq_r = time_best reps run in
-  Pool.set_jobs target_jobs;
-  let par_t, par_r = time_best reps run in
-  (* same honest-reporting rule as the kernels: one effective job means
-     both legs ran the identical inline schedule *)
-  let seq_t, par_t =
-    if effective = 1 then
-      let best = Float.min seq_t par_t in
-      (best, best)
-    else (seq_t, par_t)
-  in
-  let dseq = Router.digest seq_r and dpar = Router.digest par_r in
-  let ok = String.equal dseq dpar in
-  Printf.printf "  %-24s %-28s %9s %9s %8s %s\n" "op" "size" "seq ms" "par ms"
-    "speedup" "digest match";
-  Printf.printf "  %-24s %-28s %9.2f %9.2f %7.2fx %s\n%!" "route" size
-    (seq_t *. 1e3) (par_t *. 1e3) (seq_t /. par_t)
-    (if ok then "ok" else "MISMATCH");
+  (* the router runs on the calling domain, so the row has one leg,
+     written as both seq_ms and par_ms *)
+  let route_t, route_r = time_best reps (fun () -> Router.route ~config:cfg p) in
+  Printf.printf "  %-24s %-28s %9s %9s %8s %s\n" "op" "size" "cold ms" "warm ms"
+    "speedup" "check";
+  Printf.printf "  %-24s %-28s %9.2f %9s %8s %s\n%!" "route" size
+    (route_t *. 1e3) "-" "-" "-";
   Printf.printf "    overflow %d (%.2f%% gcells), wirelength %.1f um, %d \
                  repair passes\n"
-    seq_r.Router.overflow_total seq_r.Router.overflow_gcell_pct
-    seq_r.Router.wirelength seq_r.Router.iterations_run;
-  if not ok then begin
-    prerr_endline
-      "route: parallel repair diverged from sequential repair (digest \
-       mismatch)";
-    exit 1
-  end;
+    route_r.Router.overflow_total route_r.Router.overflow_gcell_pct
+    route_r.Router.wirelength route_r.Router.iterations_run;
   (* Incremental re-route after an ECO-sized perturbation (2% of cells
-     nudged sub-GCell distances).  The row's headline ratio is cold
-     re-route time over warm-start time on the same schedule,
-     floor-gated at >= 2x by bench_check; the congestion-parity
-     contract (warm overflow/wirelength within 5% of the cold route)
-     and jobs-invariance of the warm digest are asserted right here. *)
+     nudged sub-GCell distances): the warm start must reuse kept paths,
+     beat a cold re-route of the same placement by >= 2x, and stay
+     within 5% of its overflow and wirelength.  `make warm-smoke`
+     compares the warm digest across DCO3D_JOBS values. *)
   let perturbed = P.Placer.perturb ~seed:1 ~fraction:0.02 p in
-  Pool.set_jobs 1;
-  let _, warm_seq_r =
-    time_best reps (fun () -> Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
-  in
-  Pool.set_jobs target_jobs;
   let cold_t, cold_r =
     time_best reps (fun () -> Router.route ~config:cfg perturbed)
   in
-  let warm_t, warm_r =
-    time_best reps (fun () -> Router.route ~config:cfg ~warm_start:(seq_r, p) perturbed)
-  in
-  let dwseq = Router.digest warm_seq_r and dwpar = Router.digest warm_r in
-  let warm_jobs_ok = String.equal dwseq dwpar in
-  let ovf_ok =
-    float_of_int warm_r.Router.overflow_total
-    <= 1.05 *. Float.max 1. (float_of_int cold_r.Router.overflow_total)
-  in
+  let warm () = Router.route ~config:cfg ~warm_start:(route_r, p) perturbed in
+  let warm_t, warm_r = time_best reps warm in
+  (* one untimed warm route reads the reuse counter (the harness keeps
+     Obs enabled throughout) *)
+  let reused0 = Obs.counter_value "route/warm/reused" in
+  ignore (warm ());
+  let reused = Obs.counter_value "route/warm/reused" - reused0 in
+  let speedup = cold_t /. warm_t in
   let wl_dev =
     abs_float (warm_r.Router.wirelength -. cold_r.Router.wirelength)
     /. Float.max 1. cold_r.Router.wirelength
   in
-  let warm_ok = warm_jobs_ok && ovf_ok && wl_dev <= 0.05 in
+  let failures =
+    List.filter_map
+      (fun (failed, msg) -> if failed then Some msg else None)
+      [
+        (reused <= 0, "warm start reused no nets");
+        ( speedup < 2.0,
+          Printf.sprintf "warm %.1f ms vs cold %.1f ms (%.2fx < 2.0x)"
+            (warm_t *. 1e3) (cold_t *. 1e3) speedup );
+        (* one-sided: a warm route that finds less overflow is fine *)
+        ( float_of_int warm_r.Router.overflow_total
+          > 1.05 *. Float.max 1. (float_of_int cold_r.Router.overflow_total),
+          Printf.sprintf "warm overflow %d exceeds cold %d by more than 5%%"
+            warm_r.Router.overflow_total cold_r.Router.overflow_total );
+        ( wl_dev > 0.05,
+          Printf.sprintf "warm wirelength deviates %.1f%% from cold"
+            (100. *. wl_dev) );
+      ]
+  in
+  let warm_digest = Router.digest warm_r in
   Printf.printf "  %-24s %-28s %9.2f %9.2f %7.2fx %s\n%!" "route_warm" size
-    (cold_t *. 1e3) (warm_t *. 1e3) (cold_t /. warm_t)
-    (if warm_ok then "ok" else "MISMATCH");
+    (cold_t *. 1e3) (warm_t *. 1e3) speedup
+    (if failures = [] then "ok" else "FAIL");
   Printf.printf
-    "    warm: overflow %d vs cold %d, WL dev %.2f%%, %d repair passes\n"
-    warm_r.Router.overflow_total cold_r.Router.overflow_total (100. *. wl_dev)
-    warm_r.Router.iterations_run;
-  if not warm_jobs_ok then begin
-    prerr_endline
-      "route_warm: warm-start digest differs between DCO3D_JOBS=1 and N";
-    exit 1
-  end;
-  if not warm_ok then begin
-    prerr_endline
-      "route_warm: warm start broke congestion parity (overflow or \
-       wirelength more than 5% off the cold route)";
+    "    warm: reused %d nets, overflow %d vs cold %d, WL dev %.2f%%, %d \
+     repair passes\n\
+    \    warm digest %s\n"
+    reused warm_r.Router.overflow_total cold_r.Router.overflow_total
+    (100. *. wl_dev) warm_r.Router.iterations_run warm_digest;
+  if failures <> [] then begin
+    List.iter (fun m -> prerr_endline ("route_warm: FAIL: " ^ m)) failures;
     exit 1
   end;
   [
@@ -925,10 +907,10 @@ let route_bench () =
       k_name = "route";
       k_size = size;
       k_flops = None;
-      k_seq_ms = seq_t *. 1e3;
-      k_par_ms = par_t *. 1e3;
-      k_digest = dseq;
-      k_ok = ok;
+      k_seq_ms = route_t *. 1e3;
+      k_par_ms = route_t *. 1e3;
+      k_digest = Router.digest route_r;
+      k_ok = true;
     };
     {
       k_name = "route_warm";
@@ -936,11 +918,11 @@ let route_bench () =
       k_flops = None;
       (* seq_ms = cold re-route of the perturbed placement, par_ms =
          warm-started re-route: the row's speedup is the incremental
-         payoff, floor-gated at >= 2x by bench_check *)
+         payoff *)
       k_seq_ms = cold_t *. 1e3;
       k_par_ms = warm_t *. 1e3;
-      k_digest = dwpar;
-      k_ok = warm_ok;
+      k_digest = warm_digest;
+      k_ok = true;
     };
   ]
 

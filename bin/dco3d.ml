@@ -190,7 +190,7 @@ let place_cmd =
 (* ------------------------------------------------------------------ *)
 
 let route_cmd =
-  let run () design scale seed gcell preset warm_check =
+  let run () design scale seed gcell preset =
     let nl = netlist_of design scale seed in
     let fp = P.Floorplan.create ~gcell_nx:gcell ~gcell_ny:gcell nl in
     let params =
@@ -204,102 +204,18 @@ let route_cmd =
       if params == P.Params.default then base
       else P.Placer.global_place ~seed ~params nl fp
     in
-    (* the warm-check gate reads the route/warm/* counters, which only
-       record once observability is on *)
-    if warm_check then Obs.enable ();
     let r = Router.route ~config p in
     Printf.printf
       "overflow: %d total (H %d, V %d, via %d)\noverflowed gcells: %.2f%%\n\
        routed wirelength: %.1f um (HPWL %.1f)\nrip-up iterations: %d\n"
       r.Router.overflow_total r.Router.overflow_h r.Router.overflow_v
       r.Router.overflow_via r.Router.overflow_gcell_pct r.Router.wirelength
-      (P.Placement.hpwl p) r.Router.iterations_run;
-    if warm_check then begin
-      (* Perturb a few percent of the cells by sub-GCell distances (an
-         ECO-sized delta), then route the perturbed placement twice:
-         cold from scratch, and warm-started from the base result.
-         The gate asserts the warm start actually reused paths, won
-         >=2x wall clock, and stayed congestion-faithful (overflow and
-         wirelength within 5% of the cold route). *)
-      let perturbed = P.Placer.perturb ~seed ~fraction:0.02 p in
-      let time_best f =
-        (* best of 3: smoke runs share loaded CI hosts *)
-        let best = ref infinity in
-        let out = ref None in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-          if ms < !best then best := ms;
-          out := Some r
-        done;
-        (Option.get !out, !best)
-      in
-      let cold, cold_ms = time_best (fun () -> Router.route ~config perturbed) in
-      let reused0 = Obs.counter_value "route/warm/reused" in
-      let warm, warm_ms =
-        time_best (fun () -> Router.route ~config ~warm_start:(r, p) perturbed)
-      in
-      let reused = Obs.counter_value "route/warm/reused" - reused0 in
-      let ripped = Obs.counter_value "route/warm/ripped" in
-      let speedup = cold_ms /. Float.max 1e-6 warm_ms in
-      Printf.printf
-        "warm-check: cold %.1f ms, warm %.1f ms (%.2fx), reused %d / ripped \
-         %d\n\
-         warm-check: overflow cold %d / warm %d, WL cold %.1f / warm %.1f\n\
-         warm-check: warm digest %s\n"
-        cold_ms warm_ms speedup reused ripped cold.Router.overflow_total
-        warm.Router.overflow_total cold.Router.wirelength
-        warm.Router.wirelength
-        (Router.digest warm);
-      let fail = ref false in
-      if reused <= 0 then begin
-        prerr_endline "warm-check: FAIL: warm start reused no nets";
-        fail := true
-      end;
-      if speedup < 2.0 then begin
-        Printf.eprintf
-          "warm-check: FAIL: warm %.1f ms vs cold %.1f ms (%.2fx < 2.0x)\n"
-          warm_ms cold_ms speedup;
-        fail := true
-      end;
-      (* one-sided: a warm route that finds *less* overflow is fine *)
-      if
-        float_of_int warm.Router.overflow_total
-        > 1.05 *. Float.max 1. (float_of_int cold.Router.overflow_total)
-      then begin
-        Printf.eprintf
-          "warm-check: FAIL: warm overflow %d exceeds cold %d by more than \
-           5%%\n"
-          warm.Router.overflow_total cold.Router.overflow_total;
-        fail := true
-      end;
-      let wl_dev =
-        abs_float (warm.Router.wirelength -. cold.Router.wirelength)
-        /. Float.max 1. cold.Router.wirelength
-      in
-      if wl_dev > 0.05 then begin
-        Printf.eprintf
-          "warm-check: FAIL: warm wirelength deviates %.1f%% from cold\n"
-          (100. *. wl_dev);
-        fail := true
-      end;
-      if !fail then exit 1;
-      print_endline "warm-check: OK"
-    end
-  in
-  let warm_check_t =
-    Arg.(
-      value & flag
-      & info [ "warm-check" ]
-          ~doc:
-            "After the cold route, perturb the placement slightly,            re-route it cold and warm-started, and fail unless the warm            start reused paths, ran at least 2x faster, and matched the            cold route's overflow and wirelength within 5%.  The CI            smoke gate for incremental routing.")
+      (P.Placement.hpwl p) r.Router.iterations_run
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Place and globally route; report congestion.")
     Term.(
-      const run $ setup_t $ design_t $ scale_t $ seed_t $ gcell_t $ preset_t
-      $ warm_check_t)
+      const run $ setup_t $ design_t $ scale_t $ seed_t $ gcell_t $ preset_t)
 
 (* ------------------------------------------------------------------ *)
 (* timing                                                               *)

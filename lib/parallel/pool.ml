@@ -339,36 +339,3 @@ let tabulate ?chunk n f =
     |> List.rev |> Array.concat
 
 let map_array ?chunk f a = tabulate ?chunk (Array.length a) (fun i -> f a.(i))
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain scratch                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A Treiber stack of reusable scratch values.  [with_scratch] pops one
-   (or creates it on first use), runs the body, and pushes it back — so
-   at most [effective_jobs ()] scratches are ever live, regardless of
-   how many chunks a region has.  Pop/push are two CAS each, cheap
-   enough for chunk-granular use. *)
-type 's scratch_pool = { create : unit -> 's; stack : 's list Atomic.t }
-
-let scratch_pool create = { create; stack = Atomic.make [] }
-
-let rec scratch_take sp =
-  match Atomic.get sp.stack with
-  | [] -> sp.create ()
-  | s :: rest as old ->
-      if Atomic.compare_and_set sp.stack old rest then s else scratch_take sp
-
-let rec scratch_put sp s =
-  let old = Atomic.get sp.stack in
-  if not (Atomic.compare_and_set sp.stack old (s :: old)) then scratch_put sp s
-
-let with_scratch sp f =
-  let s = scratch_take sp in
-  match f s with
-  | v ->
-      scratch_put sp s;
-      v
-  | exception e ->
-      scratch_put sp s;
-      raise e

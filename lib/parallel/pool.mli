@@ -102,27 +102,3 @@ val tabulate : ?chunk:int -> int -> (int -> 'a) -> 'a array
 
 val map_array : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [Array.map f a] over the pool. *)
-
-(** {1 Per-domain scratch}
-
-    Loop bodies that need mutable workspace (an A* search state, a
-    marking array, a packing buffer) reuse it across the chunks a
-    domain claims instead of allocating per index.  Because which
-    domain runs which chunk is scheduling-dependent, a scratch value
-    must never carry information {e into} a use that affects the
-    result: bodies must fully (re)initialize — or generation-stamp —
-    whatever they read.  Under that rule, results stay independent of
-    the job count. *)
-
-type 's scratch_pool
-
-val scratch_pool : (unit -> 's) -> 's scratch_pool
-(** [scratch_pool create] is an empty pool of reusable scratch values;
-    [create] is called lazily, at most once per domain concurrently
-    inside {!with_scratch}. *)
-
-val with_scratch : 's scratch_pool -> ('s -> 'a) -> 'a
-(** [with_scratch sp f] borrows a scratch value (creating one if none
-    is free), applies [f], and returns it to the pool — also on
-    exception.  At most [effective_jobs ()] values are ever live when
-    called from a parallel region's chunks. *)

@@ -3,7 +3,6 @@ module Nl = Dco3d_netlist.Netlist
 module Obs = Dco3d_obs.Obs
 module Pl = Dco3d_place.Placement
 module Fp = Dco3d_place.Floorplan
-module Pool = Dco3d_parallel.Pool
 
 type config = {
   cap_h : int;
@@ -668,9 +667,7 @@ let prim_pairs st nodes =
 (* Routing a net touches shared state in two phases: [trace_net]
    computes the net's deduplicated edge set reading (but never writing)
    [st.demand], and [apply_net] / [rip_up_net] commit or retract the
-   demand deltas and keep the edge→net incidence index in sync.  The
-   split is what lets a repair wave route window-disjoint nets
-   concurrently and still commit in fixed net order.
+   demand deltas and keep the edge→net incidence index in sync.
 
    Note that deferring the demand writes cannot change a net's own
    routing: edges the net has already committed are generation-marked,
@@ -738,10 +735,10 @@ let decompose st nodes =
       end
       else prim_pairs st nodes
 
-(* Per-domain routing scratch: the A* state, heap and net marks are
-   mutable and net-sized, so each domain executing repair-wave chunks
-   owns its own set (all fields are generation-stamped — a reused
-   scratch can never leak state into a result). *)
+(* Routing scratch: the A* state, heap and net marks are mutable and
+   net-sized, so one set serves a whole [route] call (all fields are
+   generation-stamped — a reused scratch can never leak state into a
+   result). *)
 type scratch = { az : astar; marks : net_marks }
 
 let make_scratch st = { az = make_astar st; marks = make_marks st }
@@ -786,8 +783,7 @@ let overflow_of st e = max 0 (st.demand.(e) - st.cap.(e))
    margin (same formula as [astar_route]).  Every edge the net can ever
    commit — pattern or maze, any pass — has both endpoints inside the
    window, so two nets with disjoint windows never read or write the
-   same edge.  That independence relation is what a repair wave
-   exploits. *)
+   same edge.  That independence relation defines a repair wave. *)
 let net_window st fp (p : Pl.t) net =
   let x0 = ref max_int and y0 = ref max_int in
   let x1 = ref min_int and y1 = ref min_int in
@@ -809,10 +805,10 @@ let net_window st fp (p : Pl.t) net =
 
 (* Greedy first-fit partition of the victim list into waves of pairwise
    window-disjoint nets.  A pure function of the victim order and the
-   windows — never of DCO3D_JOBS — so the wave structure, and with it
-   the routing result, is identical at any job count (executing a wave
-   concurrently is equivalent to executing it sequentially, precisely
-   because its members touch disjoint edge sets). *)
+   windows.  The waves run one after another on the calling domain, so
+   the partition only fixes the repair order — but every committed
+   route, dataset and trained-weight digest pins that order, so it
+   stays until a change of order is worth re-recording them. *)
 type wave_acc = {
   mutable rects : int array;  (** 4 ints (x0 y0 x1 y1) per member *)
   mutable members : int array;
@@ -952,7 +948,7 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
       Obs.incr ~by:n_nets c_warm_reused;
       prev
   | _ ->
-  let spool = Pool.scratch_pool (fun () -> make_scratch st) in
+  let sc = make_scratch st in
   (* edge→net incidence: which nets currently commit each edge.  Kept
      in sync by [apply_net]/[rip_up_net] so each repair pass collects
      its victims from the overflowed edges alone instead of scanning
@@ -962,13 +958,12 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
   Obs.with_span "initial" (fun () ->
       match keep with
       | None ->
-          Pool.with_scratch spool (fun sc ->
-              Array.iter
-                (fun k ->
-                  let path = trace_net st sc ~maze:false p nets.(k) in
-                  net_edges.(k) <- path;
-                  apply_net st idx k path)
-                order)
+          Array.iter
+            (fun k ->
+              let path = trace_net st sc ~maze:false p nets.(k) in
+              net_edges.(k) <- path;
+              apply_net st idx k path)
+            order
       | Some (prev, clean) ->
           (* carry the negotiated history forward so repair resumes
              from the prior run's costs instead of rediscovering them *)
@@ -989,27 +984,25 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
              kept demand — congestion-aware (maze) rather than the cold
              pass's blind pattern route, so they steer around the kept
              paths instead of manufacturing overflow the repair waves
-             would then have to undo.  Sequential in a fixed order, so
-             the result stays jobs-invariant.  Kept paths crossing edges
-             the new demand pushes past their baseline are still ripped
-             up by the repair waves below. *)
-          Pool.with_scratch spool (fun sc ->
-              Array.iter
-                (fun k ->
-                  if not clean.(k) then begin
-                    incr ripped;
-                    let path = trace_net st sc ~maze:true p nets.(k) in
-                    net_edges.(k) <- path;
-                    apply_net st idx k path
-                  end)
-                order);
+             would then have to undo.  Kept paths crossing edges the new
+             demand pushes past their baseline are still ripped up by
+             the repair waves below. *)
+          Array.iter
+            (fun k ->
+              if not clean.(k) then begin
+                incr ripped;
+                let path = trace_net st sc ~maze:true p nets.(k) in
+                net_edges.(k) <- path;
+                apply_net st idx k path
+              end)
+            order;
           Obs.incr ~by:!reused c_warm_reused;
           Obs.incr ~by:!ripped c_warm_ripped);
   (* negotiated-congestion repair: each pass bumps history, collects
      the victim nets, partitions them into waves of window-disjoint
-     nets, and routes each wave's nets concurrently against a frozen
-     demand surface — deltas commit in fixed net order afterwards, so
-     the result is bit-identical at DCO3D_JOBS=1 and N *)
+     nets, and re-routes each net in wave order: rip up, trace, commit.
+     Members of a wave never read each other's edges, so this equals
+     routing the wave against its frozen entry surface. *)
   let windows = Array.map (net_window st fp p) nets in
   let seen = Array.make n_nets (-1) in
   (* Incremental runs stop negotiating once overflow is clearly at or
@@ -1018,10 +1011,10 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
      further waves would re-negotiate paths the placement delta never
      touched.  The floor sits slightly *under* the residual (0.95x)
      because the cold re-route of the perturbed placement — the parity
-     reference of the incremental contract (bench gate,
-     `route --warm-check`) — can come out a little better than the
-     warm start when the perturbation eases congestion; stopping at
-     1.0x could strand the warm result outside the 5% parity band.
+     reference of the incremental contract (the bench's `route_warm`
+     row) — can come out a little better than the warm start when the
+     perturbation eases congestion; stopping at 1.0x could strand the
+     warm result outside the 5% parity band.
      Cold runs keep the floor at 0 (repair until clean or out of
      budget). *)
   let overflow_floor =
@@ -1096,19 +1089,14 @@ let route ?config ?(validate = false) ?warm_start (p : Pl.t) =
           (fun w -> Obs.observe h_wave_size (float_of_int (Array.length w)))
           waves
       end;
-      Obs.with_span "waves" (fun () -> Array.iter
-        (fun wave ->
-          Array.iter (fun k -> rip_up_net st idx k net_edges.(k)) wave;
-          let paths = Array.make (Array.length wave) [||] in
-          Pool.parallel_for ~chunk:1 0 (Array.length wave) (fun i ->
-              Pool.with_scratch spool (fun sc ->
-                  paths.(i) <- trace_net st sc ~maze:true p nets.(wave.(i))));
-          Array.iteri
-            (fun i k ->
-              net_edges.(k) <- paths.(i);
-              apply_net st idx k paths.(i))
-            wave)
-        waves)
+      Obs.with_span "waves" (fun () ->
+          Array.iter
+            (Array.iter (fun k ->
+                 rip_up_net st idx k net_edges.(k);
+                 let path = trace_net st sc ~maze:true p nets.(k) in
+                 net_edges.(k) <- path;
+                 apply_net st idx k path))
+            waves)
     end)
   done;
   if validate then begin

@@ -11,14 +11,14 @@
     negotiated-congestion rip-up-and-reroute (PathFinder-style history
     costs) with A* maze routing.
 
-    The repair passes are parallel and deterministic: each pass
-    partitions the victim nets into waves whose A* search windows
-    (bounding box plus detour margin) are pairwise disjoint, routes
-    each wave's nets concurrently on the domain pool with per-domain
-    scratch (no shared writes — demand deltas commit afterwards in
-    fixed net order), and the wave construction depends only on the
-    victim set, never on [DCO3D_JOBS].  Routing results are
-    bit-identical at any job count.
+    The repair passes run on the calling domain in a fixed order: each
+    pass partitions the victim nets into waves whose A* search windows
+    (bounding box plus detour margin) are pairwise disjoint, then rips
+    up, re-traces and commits each net in wave order.  The router uses
+    no domain pool, so routing results are bit-identical at any
+    [DCO3D_JOBS].  The partition only fixes that order; it stays
+    because every committed route, dataset and trained-weight digest
+    pins it.
 
     Clock nets are excluded (CTS owns them). *)
 

@@ -72,6 +72,12 @@ type stats_acc = {
   mutable corpus_failed : int;
 }
 
+(* A corpus job and the submitters yet to collect its terminal status:
+   1 plus each in-flight dedup join.  Each poll that returns the
+   terminal status settles one; the entry is dropped at zero, so
+   finished jobs do not stay resident for the daemon's lifetime. *)
+type corpus_job = { mutable status : P.corpus_status; mutable pending : int }
+
 type t = {
   cfg : config;
   predictor : Predictor.t;
@@ -90,8 +96,9 @@ type t = {
   corpus_cv : Condition.t;  (* job-worker wakeup *)
   queue : pending Queue.t;
   cache : (T.t * T.t) Lru.t;
-  corpus_jobs : (int, P.corpus_status) Hashtbl.t;
-  corpus_queue : (int * string * P.corpus_req) Queue.t;  (* id, dedup key *)
+  corpus_jobs : (int, corpus_job) Hashtbl.t;
+  corpus_queue : (corpus_job * string * P.corpus_req) Queue.t;
+      (* job, dedup key *)
   (* dedup key -> job id for queued/running corpus jobs: a duplicate
      submit joins the in-flight job instead of queueing a second run *)
   corpus_inflight : (string, int) Hashtbl.t;
@@ -313,8 +320,8 @@ let corpus_loop t =
     in
     match job with
     | None -> ()
-    | Some (id, key, req) ->
-        locked t (fun () -> Hashtbl.replace t.corpus_jobs id P.Corpus_running);
+    | Some (job, key, req) ->
+        locked t (fun () -> job.status <- P.Corpus_running);
         let status =
           try
             let result =
@@ -335,7 +342,7 @@ let corpus_loop t =
           | e -> P.Corpus_failed (Printexc.to_string e)
         in
         locked t (fun () ->
-            Hashtbl.replace t.corpus_jobs id status;
+            job.status <- status;
             Hashtbl.remove t.corpus_inflight key;
             match status with
             | P.Corpus_done _ -> t.stats.corpus_done <- t.stats.corpus_done + 1
@@ -477,22 +484,35 @@ let handle_request t (env : P.envelope) =
               match Hashtbl.find_opt t.corpus_inflight key with
               | Some id ->
                   (* identical request already queued or running: join it *)
+                  let job = Hashtbl.find t.corpus_jobs id in
+                  job.pending <- job.pending + 1;
                   t.stats.corpus_dedup <- t.stats.corpus_dedup + 1;
                   Obs.incr c_corpus_dedup;
                   id
               | None ->
                   let id = t.next_job_id in
                   t.next_job_id <- id + 1;
-                  Hashtbl.replace t.corpus_jobs id P.Corpus_queued;
+                  let job = { status = P.Corpus_queued; pending = 1 } in
+                  Hashtbl.replace t.corpus_jobs id job;
                   Hashtbl.replace t.corpus_inflight key id;
-                  Queue.push (id, key, req) t.corpus_queue;
+                  Queue.push (job, key, req) t.corpus_queue;
                   t.stats.corpus_submitted <- t.stats.corpus_submitted + 1;
                   Condition.signal t.corpus_cv;
                   id)
       in
       if id < 0 then P.Server_error "server shutting down" else P.Accepted id
   | P.Corpus_poll id -> (
-      match locked t (fun () -> Hashtbl.find_opt t.corpus_jobs id) with
+      let settle job =
+        (match job.status with
+        | P.Corpus_done _ | P.Corpus_failed _ ->
+            job.pending <- job.pending - 1;
+            if job.pending = 0 then Hashtbl.remove t.corpus_jobs id
+        | P.Corpus_queued | P.Corpus_running -> ());
+        job.status
+      in
+      match
+        locked t (fun () -> Option.map settle (Hashtbl.find_opt t.corpus_jobs id))
+      with
       | Some status -> P.Corpus_status status
       | None -> P.Server_error (Printf.sprintf "unknown corpus job id %d" id))
 

@@ -433,6 +433,43 @@ let test_served_flow_job () =
   | _ -> Alcotest.fail "unknown job id must be refused"
   | exception Client.Error _ -> ()
 
+(* A finished job is held only until every submitter has collected it:
+   both dedup joiners see the terminal status, then the id is gone and
+   a re-poll is refused like any unknown id — the daemon keeps
+   serving. *)
+let test_served_job_settled_by_joiners () =
+  with_obs @@ fun () ->
+  with_corpus_server @@ fun srv ->
+  let c1 = Client.connect (Server.bound_addr srv) in
+  let c2 = Client.connect (Server.bound_addr srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c1;
+      Client.close c2)
+  @@ fun () ->
+  let req kind =
+    { Proto.cr_spec = tiny_spec; cr_config = tiny_cfg; cr_kind = kind }
+  in
+  (* a job ahead in the queue keeps the joined one in flight while the
+     second submitter arrives *)
+  let ahead = Client.submit_corpus c1 (req (Proto.Corpus_dataset 1)) in
+  let id = Client.submit_corpus c1 (req Proto.Corpus_ppa) in
+  Alcotest.(check int) "joiner gets the same id" id
+    (Client.submit_corpus c2 (req Proto.Corpus_ppa));
+  let row c =
+    match Client.wait_corpus c id with
+    | Proto.Corpus_row r -> Corpus.row_digest r
+    | Proto.Corpus_dataset_built _ -> Alcotest.fail "unexpected dataset reply"
+  in
+  let r1 = row c1 in
+  Alcotest.(check string) "both joiners get the row" r1 (row c2);
+  (match Client.poll_corpus c1 id with
+  | _ -> Alcotest.fail "a settled job id must be refused"
+  | exception Client.Error _ -> ());
+  ignore (Client.wait_corpus c1 ahead);
+  Client.ping c2;
+  Alcotest.(check (float 0.)) "corpus_done" 2. (stat srv "corpus_done")
+
 let test_corpus_key_identity () =
   let req =
     { Proto.cr_spec = tiny_spec; cr_config = tiny_cfg; cr_kind = Proto.Corpus_ppa }
@@ -474,6 +511,8 @@ let suites =
           test_served_dataset_build;
         Alcotest.test_case "served flow job lifecycle" `Quick
           test_served_flow_job;
+        Alcotest.test_case "served job settled by every joiner" `Quick
+          test_served_job_settled_by_joiners;
         Alcotest.test_case "corpus request key" `Quick test_corpus_key_identity;
       ] );
   ]

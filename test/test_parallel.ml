@@ -139,50 +139,6 @@ let test_exception_in_reduce () =
       Alcotest.(check int) "pool survives the failure" (31 * 32 / 2) ok)
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain scratch                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_scratch_reuse_sequential () =
-  let created = ref 0 in
-  let sp =
-    Pool.scratch_pool (fun () ->
-        incr created;
-        Bytes.create 8)
-  in
-  (* sequential borrows reuse one value: put-back precedes the next take *)
-  for _ = 1 to 10 do
-    Pool.with_scratch sp (fun b -> Bytes.set b 0 'x')
-  done;
-  Alcotest.(check int) "one scratch for sequential use" 1 !created
-
-let test_scratch_bounded_creation () =
-  with_jobs 4 (fun () ->
-      let created = Atomic.make 0 in
-      let sp =
-        Pool.scratch_pool (fun () ->
-            Atomic.incr created;
-            ref 0)
-      in
-      Pool.parallel_for ~chunk:1 0 64 (fun _ ->
-          Pool.with_scratch sp (fun r -> incr r));
-      let n = Atomic.get created in
-      Alcotest.(check bool)
-        (Printf.sprintf "1 <= %d <= effective jobs" n)
-        true
-        (n >= 1 && n <= Pool.effective_jobs ()))
-
-let test_scratch_returned_on_exception () =
-  let created = ref 0 in
-  let sp =
-    Pool.scratch_pool (fun () ->
-        incr created;
-        ref 0)
-  in
-  (try Pool.with_scratch sp (fun _ -> failwith "boom") with Failure _ -> ());
-  Pool.with_scratch sp (fun r -> incr r);
-  Alcotest.(check int) "scratch came back after the exception" 1 !created
-
-(* ------------------------------------------------------------------ *)
 (* Parallel kernels are bit-identical to sequential                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -261,9 +217,6 @@ let suites =
         Alcotest.test_case "exception in reduce" `Quick test_exception_in_reduce;
         Alcotest.test_case "set_jobs" `Quick test_set_jobs;
         Alcotest.test_case "effective_jobs clamp" `Quick test_effective_jobs_clamp;
-        Alcotest.test_case "scratch reuse (sequential)" `Quick test_scratch_reuse_sequential;
-        Alcotest.test_case "scratch bounded creation" `Quick test_scratch_bounded_creation;
-        Alcotest.test_case "scratch returned on exception" `Quick test_scratch_returned_on_exception;
       ] );
     ( "parallel.kernels",
       [

@@ -152,15 +152,13 @@ let with_jobs n f =
 
 (* [~validate:true] makes the router itself check that demand equals
    the per-edge sum over committed paths and that the incidence index
-   agrees — run it under both a sequential and a true multi-domain
-   schedule *)
+   agrees *)
 let test_demand_conservation () =
   let p = placed "DMA" in
   ignore (R.route ~validate:true p);
   with_jobs 4 (fun () -> ignore (R.route ~validate:true p))
 
-(* the whole point of the wave construction: routing results are
-   bit-identical at any job count *)
+(* routing results are bit-identical at any job count *)
 let test_jobs_invariant_digest () =
   let p = placed "AES" ~scale:0.03 in
   let seq = R.route p in
@@ -242,6 +240,27 @@ let test_warm_reuse_and_parity () =
            (100. *. wl_dev))
         true (wl_dev <= 0.05))
 
+(* Golden bit-identity: the cold and warm-started digests of one fixed
+   design, pinned at DCO3D_JOBS=1 and 4.  Any change to the cost
+   surfaces, the net order, the wave partition or the repair loop that
+   moves a single bit of a routing result fails here. *)
+let test_golden_digests () =
+  let p = placed "AES" ~scale:0.03 in
+  let cfg = R.calibrated_config p in
+  let q = Placer.perturb ~seed:3 ~fraction:0.05 p in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let cold = R.route ~config:cfg p in
+          let warm = R.route ~config:cfg ~warm_start:(cold, p) q in
+          Alcotest.(check string)
+            (Printf.sprintf "cold digest, jobs=%d" jobs)
+            "4335e87c3348c4340ca6a35b391007e6" (R.digest cold);
+          Alcotest.(check string)
+            (Printf.sprintf "warm digest, jobs=%d" jobs)
+            "a3c8b5063b574d488fd27f7ef5042af9" (R.digest warm)))
+    [ 1; 4 ]
+
 let test_warm_mismatch_raises () =
   let p = placed "DMA" in
   let cfg = R.calibrated_config p in
@@ -285,4 +304,5 @@ let suites =
         Alcotest.test_case "warm reuse and parity" `Quick test_warm_reuse_and_parity;
         Alcotest.test_case "warm mismatch raises" `Quick test_warm_mismatch_raises;
       ] );
+    ("route.golden", [ Alcotest.test_case "cold and warm digests" `Quick test_golden_digests ]);
   ]
